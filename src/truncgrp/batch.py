@@ -50,6 +50,19 @@ class BatchRing:
             for j in range(w):
                 T[i, j] = ring.coords(ring.mul(basis[i], basis[j]))
         self.T = T
+        # ring operations on (..., w) coordinate vectors, named as on ring.Ring
+        self.zero = np.zeros(w, dtype=np.int64)
+        self.one = np.array(ring.coords(ring.one), dtype=np.int64)
+
+    def add(self, a, b):
+        return (a + b) % self.M
+
+    def neg(self, a):
+        return -a % self.M
+
+    def mul(self, a, b):
+        # regrep(a) applied to b: partial sums stay within block's bound
+        return np.einsum("...kj,...j->...k", self.regrep(a), b) % self.M
 
     # -- block packing -------------------------------------------------------
 
@@ -96,16 +109,10 @@ class BatchRing:
         while e:
             if e & 1:
                 result = self.matmul(result, base)
-            base = self.matmul(base, base)
             e >>= 1
+            if e:
+                base = self.matmul(base, base)
         return result
-
-    def identity_coords(self, n: int) -> np.ndarray:
-        one = self.ring.coords(self.ring.one)
-        out = np.zeros((n, n, self.w), dtype=np.int64)
-        for i in range(n):
-            out[i, i] = one
-        return out
 
     def is_identity(self, blocks: np.ndarray) -> np.ndarray:
         n = blocks.shape[-1]
@@ -113,9 +120,6 @@ class BatchRing:
         return np.all(blocks == eye, axis=(-1, -2))
 
     # -- canonical integer keys --------------------------------------------------
-
-    def key_bits(self, n: int) -> int:
-        return n * n * self.w * max(1, (self.M - 1).bit_length())
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
         """(..., n, n, w) coordinates to int64 keys (mixed-radix, base M)."""

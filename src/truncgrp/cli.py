@@ -47,17 +47,6 @@ ORACLE_GROUPS = {
     "GL2F3": ("GL", 2, ringmod.WITT, 3, 1, 1, 3),
 }
 
-_EXP_MEMO: dict = {}
-
-
-def _memo_exponent(group, strategy="exhaustive", trials=1000, seed=0):
-    key = (group, strategy, trials, seed)
-    if key not in _EXP_MEMO:
-        _EXP_MEMO[key] = matmod.p_exponent(group, strategy=strategy,
-                                           trials=trials, seed=seed)
-    return _EXP_MEMO[key]
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -381,7 +370,7 @@ def _check_lemma_expstep(ctx):
                 values = {}
                 for r in (1, 2, 3):
                     g = matmod.GroupDesc(family, 2, ringmod.ring_make(kind, p, 1, r))
-                    values[r] = _memo_exponent(g).value
+                    values[r] = matmod.p_exponent(g).value
                 step_ok = all(values[r] <= p * values[r - 1] for r in (2, 3))
                 if kind == ringmod.WITT:
                     exact_ok = all(values[r] == p ** r for r in (1, 2, 3))
@@ -402,8 +391,8 @@ def _check_prop_pexp(ctx):
     for family, n, p, f, r in [("SL", 2, 2, 1, 4), ("GL", 2, 3, 1, 3)]:
         gw = matmod.GroupDesc(family, n, ringmod.ring_make(ringmod.WITT, p, f, r))
         gp = matmod.GroupDesc(family, n, ringmod.ring_make(ringmod.POLY, p, f, r))
-        ew = _memo_exponent(gw).value
-        ep = _memo_exponent(gp).value
+        ew = matmod.p_exponent(gw).value
+        ep = matmod.p_exponent(gp).value
         case_ok = ew == p ** r and ep < p ** r
         cases.append({"witt": gw.label, "poly": gp.label,
                       "witt_exponent": ew, "poly_exponent": ep,
@@ -460,7 +449,7 @@ def _check_prop_stab(ctx):
         exp = None
         consistent = True
         if profile_p == group.ring.p:
-            exp = _memo_exponent(group).value
+            exp = matmod.p_exponent(group).value
             consistent = exp == prof.p_exponent
         rows.append({"name": name, "dims": list(prof.dims),
                      "stab_index": prof.stab_index,
@@ -512,45 +501,6 @@ CHECKS = {
     "compare-pair": _check_compare_pair,
     "cache": _check_cache,
 }
-
-# which spec-level operations each check exercises; tests assert the
-# union covers the whole public surface
-ALL_OPS = frozenset({
-    "ring.make", "ring.arith", "ring.inv", "ring.teichmuller", "ring.digits",
-    "ring.truncate", "ring.residue", "ring.parse", "ring.render",
-    "ring.encode", "ring.selftest", "ring.index",
-    "matrix.arith", "matrix.det", "matrix.inverse", "matrix.parse",
-    "matrix.order", "matrix.member",
-    "lemma.chu", "lemma.power2", "lemma.bmatrix", "lemma.expstep",
-    "group.order", "group.sylow", "group.exponent", "group.enumerate",
-    "group.classes", "group.powermap", "group.profile", "group.compare",
-    "group.cache",
-    "oracle.table", "oracle.commutator", "oracle.kuelshammer", "oracle.perp",
-    "oracle.profile",
-})
-
-CHECK_OPS = {
-    "rings": {"ring.make", "ring.arith", "ring.inv", "ring.teichmuller",
-              "ring.digits", "ring.truncate", "ring.residue", "ring.encode",
-              "ring.selftest", "ring.index"},
-    "lemma-chu": {"lemma.chu"},
-    "lemma-power": {"lemma.power2", "matrix.arith"},
-    "lemma-bmatrix": {"lemma.bmatrix", "matrix.arith"},
-    "lemma-expstep": {"lemma.expstep", "group.exponent", "group.sylow",
-                      "matrix.order"},
-    "prop-pexp": {"group.exponent", "group.order", "group.sylow"},
-    "order-witness": {"ring.parse", "ring.render", "matrix.parse",
-                      "matrix.det", "matrix.member", "matrix.order",
-                      "matrix.inverse", "group.exponent"},
-    "oracle": {"oracle.table", "oracle.commutator", "oracle.kuelshammer",
-               "oracle.perp", "oracle.profile", "group.enumerate",
-               "group.classes", "group.powermap", "group.profile"},
-    "prop-stab": {"group.profile", "group.exponent", "group.classes"},
-    "compare-pair": {"group.compare", "group.enumerate", "group.classes",
-                     "group.profile", "group.cache"},
-    "cache": {"group.cache", "group.enumerate", "group.classes"},
-}
-
 
 # ---------------------------------------------------------------------------
 

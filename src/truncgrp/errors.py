@@ -27,7 +27,3 @@ class CapExceededError(TruncgrpError):
 
 class ClosureMismatchError(TruncgrpError):
     """Generated closure size disagrees with the closed-form group order."""
-
-
-class CacheError(TruncgrpError):
-    """Cache file unusable: wrong magic, version, parameters, or corrupt."""

@@ -308,10 +308,6 @@ def kuelshammer_profile(part: Partition, p: int) -> KuelshammerProfile:
     return KuelshammerProfile(p, tuple(dims), stab, dims[-1], regular)
 
 
-def p_exponent_from_profile(profile: KuelshammerProfile) -> int:
-    return profile.p_exponent
-
-
 # ---------------------------------------------------------------------------
 # comparison
 

@@ -6,8 +6,14 @@ matrix operations this module provides the number-theoretic helpers
 the rest of the package is built on: exact element orders, the
 closed-form expansion of powers of A(I + pi X) over length-2 rings,
 the binomial double sum controlling when that expansion collapses,
-and exhaustive or sampled computation of the p-exponent via a Sylow
-p-subgroup stream.
+and the p-exponent.
+
+The p-exponent walks a Sylow p-subgroup, the preimage u * k of the
+upper unitriangular group (u an entrywise lift, k in the congruence
+kernel), built chunk by chunk as numpy coordinate arrays by one
+generator: exhaustive mode indexes the whole subgroup, sampled mode
+seeded random elements of it.  Orders come from batched p-th powers,
+and the witness is re-checked with the scalar ``element_order``.
 
 Matrix literals use ';' between rows and ',' between entries, each
 entry a ring-element expression: ``"1,1,0;t,1,1;t,0,1"``.  Witt-kind
@@ -120,8 +126,9 @@ class Mat:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def scale(self, u):
@@ -329,10 +336,6 @@ class GroupDesc:
         return self.ring.is_unit(d)
 
 
-def is_member(mat: Mat, group: GroupDesc) -> bool:
-    return group.contains(mat)
-
-
 def _ceil_log(p: int, n: int) -> int:
     k, v = 0, 1
     while v < n:
@@ -442,74 +445,104 @@ def b_matrix(A: Mat, X: Mat, p: int | None = None) -> Mat:
 # ---------------------------------------------------------------------------
 # Sylow p-subgroup stream and p-exponent
 
-def _unitriangular_lifts(group: GroupDesc):
-    """Entrywise lifts of the upper unitriangular subgroup of G(F_q)."""
-    R, n = group.ring, group.n
-    F = R.field
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ident = Mat.identity(R, n)
-    for combo in itertools.product(list(F.elements()), repeat=len(positions)):
-        m = ident
-        for (i, j), a in zip(positions, combo):
-            if a != F.zero:
-                m = m.with_entry(i, j, _lift_field_elem(R, a))
-        yield m
-
-
-def _pi_multiples(R):
-    """All elements of pi * O_r, in canonical digit order."""
-    F = R.field
-    for combo in itertools.product(list(F.elements()), repeat=R.r - 1):
-        yield R.from_digits((F.zero,) + combo)
-
-
-def _solve_sl_corner(group: GroupDesc, m: Mat) -> Mat:
-    """Adjust the last diagonal entry of m (= I + Z pattern) so det = 1."""
-    R, n = group.ring, group.n
-    if n == 1:
-        return Mat(R, ((R.one,),))
-    c = n - 1
-    d1 = m.det()  # corner entry currently 1
-    minor = Mat(R, tuple(tuple(m.entry(i, j) for j in range(c)) for i in range(c)))
-    cof = minor.det()  # det is affine in the corner entry with this cofactor
-    e_star = R.mul(R.add(R.sub(R.one, d1), cof), R.inv(cof))
-    out = m.with_entry(c, c, e_star)
-    if out.det() != R.one:
-        raise ArithmeticError("corner solve failed")
-    return out
-
-
-def _kernel_elements(group: GroupDesc):
-    """The congruence kernel: matrices = I mod pi (det 1 for SL)."""
-    R, n = group.ring, group.n
-    entries = [(i, j) for i in range(n) for j in range(n)]
+def _sylow_positions(group: GroupDesc):
+    """Upper entries of u and free entries of k, row-major (u k = Sylow element)."""
+    n = group.n
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    free = [(i, j) for i in range(n) for j in range(n)]
     if group.family == "SL":
-        entries.remove((n - 1, n - 1))
-    pim = list(_pi_multiples(R))
-    ident = Mat.identity(R, n)
-    for combo in itertools.product(pim, repeat=len(entries)):
-        m = ident
-        for (i, j), z in zip(entries, combo):
-            if z != R.zero:
-                m = m.with_entry(i, j, R.add(m.entry(i, j), z))
-        if group.family == "SL":
-            m = _solve_sl_corner(group, m)
-        yield m
+        free.remove((n - 1, n - 1))
+    return upper, free
+
+
+def _sylow_tables(R):
+    """Coordinates of the lifts of F_q, in F.elements() order, and of the
+    elements of pi * O_r, in canonical digit order (first digit slowest)."""
+    F = R.field
+    fels = list(F.elements())
+    lifts = [R.coords(_lift_field_elem(R, a)) for a in fels]
+    pim = [R.coords(R.from_digits((F.zero,) + combo))
+           for combo in itertools.product(fels, repeat=R.r - 1)]
+    return np.array(lifts, dtype=np.int64), np.array(pim, dtype=np.int64)
+
+
+def _sylow_coords(group: GroupDesc, lifts, pim, digits) -> np.ndarray:
+    """(N, n, n, w) coordinates of u * k, one Sylow element per row of digits.
+
+    A row holds an index into lifts per upper entry of the unitriangular
+    u, then an index into pim per free entry of the congruence-kernel
+    element k = I + (pi-multiples).  For SL the corner of k is solved so
+    that det k = 1: det k = det0 + e * cof is affine in the corner e, and
+    the leading minor cof is = 1 mod pi, so Newton from 1 inverts it.
+    """
+    R, n = group.ring, group.n
+    br = batchmod.BatchRing.get(R)
+    upper, free = _sylow_positions(group)
+    u = np.zeros((len(digits), n, n, R.w), dtype=np.int64)
+    u[:, range(n), range(n)] = br.one
+    k = u.copy()
+    cols = iter(digits.T)
+    for i, j in upper:
+        u[:, i, j] = lifts[next(cols)]
+    for i, j in free:
+        k[:, i, j] = br.add(k[:, i, j], pim[next(cols)])
+    if group.family == "SL":
+        c = n - 1
+        rows = np.moveaxis(k, 0, 2)  # view: rows[i][j] is entry (i, j) of every k
+        k[:, c, c] = 0
+        det0 = _det_leibniz(br, rows)
+        cof = _det_leibniz(br, rows[:c, :c])
+        inv = br.one
+        for _ in range((R.r - 1).bit_length()):
+            inv = br.mul(inv, br.add(2 * br.one, br.neg(br.mul(cof, inv))))
+        k[:, c, c] = br.mul(br.add(br.one, br.neg(det0)), inv)
+        if not np.all(_det_leibniz(br, rows) == br.one):
+            raise ArithmeticError("corner solve failed")
+    return br.unblock(br.matmul(br.block(u), br.block(k)), n)
+
+
+def _sylow_chunks(group: GroupDesc, cap: int):
+    """The whole Sylow subgroup in coordinate chunks: u outer, k inner,
+    the first entry slowest."""
+    size = group.sylow_size()
+    if size > cap:
+        raise CapExceededError(f"Sylow subgroup of {group.label} has {size} elements, cap {cap}")
+    lifts, pim = _sylow_tables(group.ring)
+    upper, free = _sylow_positions(group)
+    radices = np.array([len(lifts)] * len(upper) + [len(pim)] * len(free), dtype=np.int64)
+    weights = np.cumprod(radices[::-1])[::-1] // radices
+    for start in range(0, size, _ORDER_CHUNK):
+        flat = np.arange(start, min(start + _ORDER_CHUNK, size))
+        yield _sylow_coords(group, lifts, pim, flat[:, None] // weights % radices)
+
+
+def _sampled_digits(group: GroupDesc, trials: int, seed: int) -> np.ndarray:
+    """Digits of seeded random Sylow elements: per trial one randrange(q)
+    per upper entry, then r - 1 per free kernel entry (one pim index)."""
+    rng = random.Random(seed)
+    q, r = group.ring.q, group.ring.r
+    upper, free = _sylow_positions(group)
+
+    def pim_index():
+        idx = 0
+        for _ in range(r - 1):
+            idx = idx * q + rng.randrange(q)
+        return idx
+    rows = [[rng.randrange(q) for _ in upper] + [pim_index() for _ in free]
+            for _ in range(trials)]
+    return np.array(rows, dtype=np.int64).reshape(trials, len(upper) + len(free))
 
 
 def sylow_p_elements(group: GroupDesc, cap: int = SYLOW_CAP):
     """Stream the preimage of the unitriangular subgroup under reduction.
 
     This preimage is a Sylow p-subgroup of the group, of size
-    q^(n(n-1)/2) * q^((r-1) d); every element is a p-element.
+    q^(n(n-1)/2) * q^((r-1) d); every element is a p-element.  The order
+    is the one p_exponent walks.
     """
-    size = group.sylow_size()
-    if size > cap:
-        raise CapExceededError(f"Sylow subgroup of {group.label} has {size} elements, cap {cap}")
-    kernel = list(_kernel_elements(group))
-    for u in _unitriangular_lifts(group):
-        for k in kernel:
-            yield u * k
+    for chunk in _sylow_chunks(group, cap):
+        for coords in chunk:
+            yield mat_from_coords(group.ring, coords)
 
 
 @dataclass
@@ -569,8 +602,8 @@ def p_exponent(group: GroupDesc, strategy: str = "exhaustive", trials: int = 100
                seed: int = 0, cap: int = SYLOW_CAP) -> ExponentResult:
     """Largest order of a p-element (= exponent of a Sylow p-subgroup).
 
-    Exhaustive mode walks the whole Sylow stream; sampled mode draws
-    seeded random stream elements and reports a lower bound.
+    Exhaustive mode walks the whole Sylow subgroup; sampled mode draws
+    seeded random elements of it and reports a lower bound.
     """
     R = group.ring
     p = R.p
@@ -589,54 +622,25 @@ def p_exponent(group: GroupDesc, strategy: str = "exhaustive", trials: int = 100
         note = (f"upper bound p^(r-1+ceil(log_p n)) = {upper}: unipotent exponent over the "
                 f"residue field times one factor of p per extra length step")
     if strategy == "exhaustive":
-        best_k = -1
-        best_mat = None
-        stream = sylow_p_elements(group, cap=cap)
-        while True:
-            chunk = list(itertools.islice(stream, _ORDER_CHUNK))
-            if not chunk:
-                break
-            coords = np.stack([mat_coords(m) for m in chunk])
-            steps = _batch_orders(group, coords, bound_exp)
-            k = int(steps.max())
-            if k > best_k:
-                best_k = k
-                best_mat = chunk[int(np.argmax(steps))]
-        value = p ** best_k
-        if element_order(best_mat, group) != value:
-            raise ArithmeticError("batch order disagrees with scalar order")
-        return ExponentResult(value, "exhaustive", best_mat, upper, note)
-    if strategy == "sampled":
-        rng = random.Random(seed)
-        F = R.field
-        n = group.n
-        mats = []
-        for _ in range(trials):
-            u = Mat.identity(R, n)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    u = u.with_entry(i, j, _lift_field_elem(R, F.rand(rng)))
-            k = Mat.identity(R, n)
-            entries = [(i, j) for i in range(n) for j in range(n)]
-            if group.family == "SL":
-                entries.remove((n - 1, n - 1))
-            for (i, j) in entries:
-                z = R.rand_pi_multiple(rng)
-                if z != R.zero:
-                    k = k.with_entry(i, j, R.add(k.entry(i, j), z))
-            if group.family == "SL":
-                k = _solve_sl_corner(group, k)
-            mats.append(u * k)
-        coords = np.stack([mat_coords(m) for m in mats])
+        chunks = _sylow_chunks(group, cap)
+    elif strategy == "sampled":
+        digits = _sampled_digits(group, trials, seed)
+        chunks = [_sylow_coords(group, *_sylow_tables(R), digits)]
+        note += f"; lower bound from {trials} samples"
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    best_k = -1
+    for coords in chunks:
         steps = _batch_orders(group, coords, bound_exp)
-        kbest = int(steps.max())
-        witness = mats[int(np.argmax(steps))]
-        value = p ** kbest
-        if element_order(witness, group) != value:
-            raise ArithmeticError("batch order disagrees with scalar order")
-        return ExponentResult(value, "sampled", witness, upper,
-                              note + f"; lower bound from {trials} samples")
-    raise ValueError(f"unknown strategy {strategy!r}")
+        k = int(steps.max())
+        if k > best_k:
+            best_k = k
+            best = coords[int(np.argmax(steps))]
+    witness = mat_from_coords(R, best)
+    value = p ** best_k
+    if element_order(witness, group) != value:
+        raise ArithmeticError("batch order disagrees with scalar order")
+    return ExponentResult(value, strategy, witness, upper, note)
 
 
 # ---------------------------------------------------------------------------

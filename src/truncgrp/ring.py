@@ -287,8 +287,9 @@ class Fq:
         while e:
             if e & 1:
                 result = self.mul(result, base)
-            base = self.mul(base, base)
             e >>= 1
+            if e:
+                base = self.mul(base, base)
         return result
 
     def frobenius(self, a):
@@ -502,8 +503,9 @@ class Ring:
         while e:
             if e & 1:
                 result = self.mul(result, base)
-            base = self.mul(base, base)
             e >>= 1
+            if e:
+                base = self.mul(base, base)
         return result
 
     def int_mul(self, a, k: int):
@@ -693,11 +695,6 @@ class Ring:
 
     def rand(self, rng: random.Random):
         return self.from_index(rng.randrange(self.size))
-
-    def rand_pi_multiple(self, rng: random.Random):
-        """Uniform element of pi * O_r."""
-        digits = (self.field.zero,) + tuple(self.field.rand(rng) for _ in range(self.r - 1))
-        return self.from_digits(digits)
 
     def encode(self, a) -> bytes:
         wdt = self.coeff_width

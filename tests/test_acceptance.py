@@ -10,7 +10,7 @@ from sympy import primerange
 
 from truncgrp import (AlgebraTable, GroupDesc, Mat, b_matrix, chu_sum,
                       compare_groups, conjugacy_classes, element_order,
-                      enumerate_group, is_member, kuelshammer_profile,
+                      enumerate_group, kuelshammer_profile,
                       oracle_profile, p_exponent, parse_matrix, ring_make,
                       unitriangular_power)
 
@@ -35,7 +35,7 @@ def test_witness_matrix_has_order_25():
         R = ring_make("poly", 5, 1, 2)
         g = parse_matrix(R, "1,1,0;t,1,1;t,0,1")
         grp = GroupDesc("SL", 3, R)
-        assert is_member(g, grp)
+        assert grp.contains(g)
         assert element_order(g, grp) == 25
         assert not (g ** 5).is_identity()
         assert (g ** 25).is_identity()

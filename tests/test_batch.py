@@ -74,8 +74,8 @@ def test_is_identity_mask(rng):
     blocks = br.block(np.array([mat_coords(ident), mat_coords(m)]))
     mask = br.is_identity(blocks)
     assert mask.tolist() == [True, False]
-    assert np.array_equal(br.unblock(br.block(br.identity_coords(2)[None])[0], 2),
-                          br.identity_coords(2))
+    eye = mat_coords(Mat.identity(R, 2))
+    assert np.array_equal(br.unblock(br.block(eye[None])[0], 2), eye)
 
 
 def test_encode_is_injective_exhaustively():

@@ -6,7 +6,7 @@ import pytest
 
 from truncgrp import (GroupDesc, conjugacy_classes, enumerate_group,
                       kuelshammer_profile, ring_make)
-from truncgrp.cli import ALL_OPS, CHECK_OPS, CHECKS, ORACLE_GROUPS, main
+from truncgrp.cli import ORACLE_GROUPS, main
 
 WITNESS = ["order", "--family", "SL", "-n", "3", "--kind", "poly", "-p", "5",
            "-r", "2", "--matrix", "1,1,0;t,1,1;t,0,1"]
@@ -159,14 +159,6 @@ def test_verify_text_has_pass_lines(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS rings" in out
-
-
-def test_check_registry_covers_every_op():
-    assert set(CHECK_OPS) == set(CHECKS)
-    covered = set()
-    for ops in CHECK_OPS.values():
-        covered |= set(ops)
-    assert covered == ALL_OPS
 
 
 def test_oracle_registry_is_well_formed():

@@ -5,7 +5,7 @@ from truncgrp import (CapExceededError, GroupDesc, Mat, MembershipError,
                       build_power_map, class_power_map, compare_groups,
                       conjugacy_classes, element_order, enumerate_group,
                       generators, kuelshammer_profile, load_cache,
-                      p_exponent_from_profile, partition_for, ring_make,
+                      partition_for, ring_make,
                       save_cache, proven_regime)
 from truncgrp.groups import cache_slug
 
@@ -168,7 +168,6 @@ def test_profiles_frozen_small_groups():
         assert prof.dims == dims
         assert prof.stab_index == len(dims) - 1
         assert prof.p_exponent == prof_p ** (len(dims) - 1)
-        assert p_exponent_from_profile(prof) == prof.p_exponent
         # strictly decreasing until stable
         assert all(a > b for a, b in zip(dims, dims[1:]))
 

@@ -5,7 +5,7 @@ import pytest
 
 from truncgrp import (GroupDesc, Mat, MembershipError, NonUnitError,
                       ParseError, b_matrix, chu_sum, diagonal, element_order,
-                      exponent_multiple, is_member, mat_coords,
+                      enumerate_group, exponent_multiple, mat_coords,
                       mat_from_coords, p_exponent, parse_matrix, ring_make,
                       sylow_p_elements, transvection, unitriangular_power)
 
@@ -129,7 +129,7 @@ def test_order_witness_is_25():
     m = parse_matrix(R, "1,1,0;t,1,1;t,0,1")
     grp = GroupDesc("SL", 3, R)
     assert m.det() == R.one
-    assert is_member(m, grp)
+    assert grp.contains(m)
     assert element_order(m, grp) == 25
     assert _brute_order(m) == 25
     assert not (m ** 5).is_identity()
@@ -299,6 +299,40 @@ def test_sylow_cap_enforced():
     from truncgrp import CapExceededError
     with pytest.raises(CapExceededError):
         list(sylow_p_elements(grp, cap=100))
+
+
+def test_sylow_stream_is_the_unitriangular_preimage():
+    # independent of the stream: filter the enumerated group by reduction
+    for fam, n, p, f, r in [("GL", 2, 2, 1, 2), ("SL", 2, 3, 1, 2),
+                            ("GL", 2, 2, 2, 1), ("SL", 2, 2, 2, 2),
+                            ("SL", 3, 2, 1, 1)]:
+        for kind in ("witt", "poly"):
+            grp = GroupDesc(fam, n, ring_make(kind, p, f, r))
+            table = enumerate_group(grp)
+            mats = (table.mat(i) for i in range(len(table)))
+            preimage = {m for m in mats if m.reduce_to(1).is_unitriangular()}
+            stream = list(sylow_p_elements(grp))
+            assert len(stream) == grp.sylow_size() == len(preimage), grp.label
+            assert set(stream) == preimage, grp.label
+
+
+def test_p_exponent_pinned_witnesses():
+    exhaustive = [
+        (("GL", 2, "witt", 3, 1, 3), 27, "1,1;0,1"),
+        (("GL", 2, "poly", 3, 1, 3), 9, "1,1+t;0,1+t"),
+        (("SL", 2, "poly", 2, 1, 4), 8, "1+t,1;t,1"),
+    ]
+    for (fam, n, kind, p, f, r), value, witness in exhaustive:
+        res = p_exponent(GroupDesc(fam, n, ring_make(kind, p, f, r)))
+        assert (res.method, res.value, res.witness.render()) == ("exhaustive", value, witness)
+    sampled = [
+        (("SL", 2, "witt", 3, 2, 2), 300, 1, 9, "1+3x,4+5x;6x,7+3x"),
+        (("SL", 3, "poly", 5, 1, 2), 500, 0, 25, "1+2t,1+2t,4+3t;3t,1+3t,1;4t,t,1+t"),
+    ]
+    for (fam, n, kind, p, f, r), trials, seed, value, witness in sampled:
+        res = p_exponent(GroupDesc(fam, n, ring_make(kind, p, f, r)),
+                         strategy="sampled", trials=trials, seed=seed)
+        assert (res.method, res.value, res.witness.render()) == ("sampled", value, witness)
 
 
 def test_p_exponent_exhaustive_values():
