@@ -26,6 +26,37 @@ def _min_uint_dtype(bound):
     raise OverflowError("coordinate modulus too large")
 
 
+def tensor_from_mul(mul, basis, coords) -> np.ndarray:
+    """T[i, j, k] with basis[i] * basis[j] = sum_k T[i, j, k] basis[k],
+    from the scalar ``mul``; ``coords`` reads an element's coordinates."""
+    w = len(basis)
+    T = np.zeros((w, w, w), dtype=np.int64)
+    for i in range(w):
+        for j in range(w):
+            T[i, j] = coords(mul(basis[i], basis[j]))
+    return T
+
+
+def tensor_mul(T, M, a, b):
+    """Products of (..., w) coordinate vectors mod M under the tensor T.
+
+    The multiplication matrix of a (reduced mod M) is applied to b, so a
+    partial sum stays below w * (M - 1)^2, the bound ``block`` checks."""
+    rep = np.tensordot(np.asarray(a, dtype=np.int64), T, axes=([-1], [0])) % M
+    return np.einsum("...jk,...j->...k", rep, b) % M
+
+
+def square_and_multiply(mul, a, e: int):
+    """a^e for e >= 1, left to right: bit_length(e) - 1 squarings and
+    popcount(e) - 1 further products, none of them by one."""
+    result = a
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, a)
+    return result
+
+
 class BatchRing:
     _cache = {}
 
@@ -42,14 +73,9 @@ class BatchRing:
         self.w = ring.w
         self.M = ring.coord_mod
         self.coord_dtype = _min_uint_dtype(self.M - 1)
-        # structure tensor: e_i * e_j = sum_k T[i, j, k] e_k
         w = self.w
-        T = np.zeros((w, w, w), dtype=np.int64)
-        basis = [ring.from_coords(tuple(1 if i == k else 0 for k in range(w))) for i in range(w)]
-        for i in range(w):
-            for j in range(w):
-                T[i, j] = ring.coords(ring.mul(basis[i], basis[j]))
-        self.T = T
+        # structure tensor of ring.mul: e_i * e_j = sum_k T[i, j, k] e_k
+        self.T = ring.structure_tensor()
         # ring operations on (..., w) coordinate vectors, named as on ring.Ring
         self.zero = np.zeros(w, dtype=np.int64)
         self.one = np.array(ring.coords(ring.one), dtype=np.int64)
@@ -61,8 +87,7 @@ class BatchRing:
         return -a % self.M
 
     def mul(self, a, b):
-        # regrep(a) applied to b: partial sums stay within block's bound
-        return np.einsum("...kj,...j->...k", self.regrep(a), b) % self.M
+        return tensor_mul(self.T, self.M, a, b)
 
     # -- block packing -------------------------------------------------------
 
@@ -103,16 +128,10 @@ class BatchRing:
     def matpow(self, blocks: np.ndarray, e: int) -> np.ndarray:
         if e < 0:
             raise ValueError("negative exponent")
-        n = blocks.shape[-1]
-        result = np.broadcast_to(np.eye(n, dtype=np.int64), blocks.shape).copy()
-        base = blocks % self.M
-        while e:
-            if e & 1:
-                result = self.matmul(result, base)
-            e >>= 1
-            if e:
-                base = self.matmul(base, base)
-        return result
+        if e == 0:
+            n = blocks.shape[-1]
+            return np.broadcast_to(np.eye(n, dtype=np.int64), blocks.shape).copy()
+        return square_and_multiply(self.matmul, blocks % self.M, e)
 
     def is_identity(self, blocks: np.ndarray) -> np.ndarray:
         n = blocks.shape[-1]

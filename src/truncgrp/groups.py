@@ -17,7 +17,9 @@ a fixed size, and classes are relabeled by their smallest element id.
 from __future__ import annotations
 
 import logging
+import os
 import struct
+import uuid
 import zlib
 from collections import deque
 from dataclasses import dataclass
@@ -429,7 +431,17 @@ def save_cache(path, part: Partition) -> None:
     body += part.class_of.astype("<u4").tobytes()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    # write a file of its own beside the cache, then rename it over the
+    # cache: a write that stops part-way leaves the previous file whole
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(body + struct.pack("<I", zlib.crc32(body)))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_cache(path, group: GroupDesc):

@@ -27,6 +27,17 @@ Byte encoding (version 1): the flat coefficient sequence,
 little-endian, fixed width per coefficient (width of p-1 for poly
 coefficients, width of p^r-1 for witt coefficients).
 
+Self test: ``Ring.selftest`` runs its exhaustive checks (the residue
+field's Fermat identity for f > 1, cardinality, unit count, the digit
+round trip, and Teichmueller multiplicativity when q^2 is within the
+cap) on numpy coordinate arrays in chunks of ``_SELFTEST_CHUNK``
+elements.  Products there come from ``structure_tensor``, which the
+scalar ``mul`` of the very Fq or Ring under test computes on its basis,
+and Witt digits from one table of the q lifts of ``teichmuller``.  A
+few elements of each batched check also run through the scalar
+Frobenius or digit maps; a disagreement fails the check.  The sampled
+checks stay scalar and tie the tensors to ``Fq.mul`` and ``Ring.mul``.
+
 Text forms: poly elements render like ``1+2t+t^2``, witt elements as
 plain integers (f = 1) or x-polynomials.  ``parse_element`` accepts
 sums, differences, products, powers, parentheses, integers, ``t``
@@ -41,6 +52,9 @@ import random
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
+from .batch import square_and_multiply, tensor_from_mul, tensor_mul
 from .errors import NonUnitError, ParseError
 
 POLY = "poly"
@@ -49,6 +63,11 @@ WITT = "witt"
 ENCODING_VERSION = 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# rows per coordinate array in the self test's batched checks
+_SELFTEST_CHUNK = 512
+# elements per batched check that are also computed by the scalar code
+_AGREE_SAMPLES = 8
 
 
 def _is_prime(n: int) -> bool:
@@ -86,6 +105,22 @@ def _prime_divisors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def _index_coords(indices, M, w):
+    """(N, w) coordinates of the elements with these indices: their
+    little-endian base-M digits, the inverse of ``index``."""
+    return np.asarray(indices, dtype=np.int64)[:, None] // M ** np.arange(w, dtype=np.int64) % M
+
+
+def _agreement_indices(n):
+    """_AGREE_SAMPLES indices spread over range(n), one in the middle of
+    each equal slice."""
+    return sorted({(2 * i + 1) * n // (2 * _AGREE_SAMPLES) for i in range(_AGREE_SAMPLES)})
+
+
+def _unit_vectors(w):
+    return [tuple(int(i == k) for k in range(w)) for i in range(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +317,7 @@ class Fq:
             return self.pow(self.inv(a), -e)
         if self.f == 1:
             return (pow(a[0], e, self.p),)
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
+        return square_and_multiply(self.mul, a, e) if e else self.one
 
     def frobenius(self, a):
         return self.pow(a, self.p)
@@ -320,11 +347,20 @@ class Fq:
     def rand(self, rng: random.Random):
         return self.from_index(rng.randrange(self.q))
 
+    def structure_tensor(self):
+        """(f, f, f) structure tensor of this instance's ``mul`` on the
+        basis 1, x, ..., x^(f-1)."""
+        return tensor_from_mul(self.mul, _unit_vectors(self.f), tuple)
+
     def fermat_check(self, cap: int = 10_000):
         """Witness that a^q != a for some element, or None; memoized.
 
         Exhaustive for q <= cap (skipped above), using f-fold Frobenius
-        so the exponent never exceeds p.
+        so the exponent never exceeds p.  For f > 1 the elements run as
+        coordinate arrays in chunks, multiplied through
+        ``structure_tensor``; a few of them also run through the scalar
+        ``frobenius``, and one whose two results differ is a witness too.
+        The witness is the first in index order.
         """
         if self._fermat == "unchecked":
             bad = None
@@ -336,15 +372,38 @@ class Fq:
                             bad = (k,)
                             break
                 else:
-                    for a in self.elements():
-                        x = a
-                        for _ in range(self.f):
-                            x = self.frobenius(x)
-                        if x != a:
-                            bad = a
-                            break
+                    k = self._fermat_failure()
+                    bad = None if k is None else self.from_index(k)
             self._fermat = bad
         return self._fermat
+
+    def _fermat_failure(self):
+        """Index of the first element with a^q != a, or that the batch and
+        the scalar Frobenius disagree on."""
+        p, f, q = self.p, self.f, self.q
+        mul = functools.partial(tensor_mul, self.structure_tensor(), p)
+
+        def frobenius_f(x):
+            for _ in range(f):
+                x = square_and_multiply(mul, x, p)
+            return x
+
+        bad = []
+        sample = _agreement_indices(q)
+        for k, row in zip(sample, frobenius_f(_index_coords(sample, p, f)).tolist()):
+            x = self.from_index(k)
+            for _ in range(f):
+                x = self.frobenius(x)
+            if x != tuple(row):
+                bad.append(k)
+                break
+        for start in range(0, q, _SELFTEST_CHUNK):
+            a = _index_coords(range(start, min(q, start + _SELFTEST_CHUNK)), p, f)
+            rows = np.flatnonzero((frobenius_f(a) != a).any(axis=1))
+            if rows.size:
+                bad.append(start + int(rows[0]))
+                break
+        return min(bad, default=None)
 
     def multiplicative_generator(self) -> tuple:
         """First element of F_q^x, in index order, of order q - 1."""
@@ -498,15 +557,13 @@ class Ring:
             return (pow(a[0], e, self.pr),)
         if self.kind == POLY and self.r == 1:
             return (self.field.pow(a[0], e),)
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
+        return square_and_multiply(self.mul, a, e) if e else self.one
+
+    def structure_tensor(self):
+        """(w, w, w) structure tensor of this instance's ``mul`` on the
+        coordinate basis (see ``coords``)."""
+        basis = [self.from_coords(e) for e in _unit_vectors(self.w)]
+        return tensor_from_mul(self.mul, basis, self.coords)
 
     def int_mul(self, a, k: int):
         """k-fold sum of a (k may be any integer)."""
@@ -776,6 +833,100 @@ class SelfTestReport:
         return [c for c in self.checks if not c.ok]
 
 
+def _teichmuller_table(ring):
+    """(q, w) coordinates of tau(a) for a over F_q in index order."""
+    return np.array([ring.coords(ring.teichmuller(a)) for a in ring.field.elements()],
+                    dtype=np.int64).reshape(ring.q, ring.w)
+
+
+def _digit_roundtrip(ring, taus, a):
+    """``witt_digits`` and then ``from_digits`` on (N, w) coordinates,
+    with taus from ``_teichmuller_table`` (unused for the poly kind).
+
+    Returns the (N, r, f) digits, the (N, w) coordinates rebuilt from
+    them, and a mask of the rows whose expansion cannot shift down by pi
+    (a lift tau(d) with the wrong residue)."""
+    n = len(a)
+    if ring.kind == POLY:
+        # tau is the embedding and pi shifts: the digits are a read-off
+        return a.reshape(n, ring.r, ring.f), a, np.zeros(n, dtype=bool)
+    p, pr = ring.p, ring.pr
+    weights = p ** np.arange(ring.f, dtype=np.int64)
+    digits = np.empty((n, ring.r, ring.f), dtype=np.int64)
+    stuck = np.zeros(n, dtype=bool)
+    x = a
+    for i in range(ring.r):
+        digits[:, i] = x % p
+        if i < ring.r - 1:
+            x = (x - taus[digits[:, i] @ weights]) % pr
+            stuck |= (x % p != 0).any(axis=1)
+            x = x // p
+    back = np.zeros_like(a)
+    for i in reversed(range(ring.r)):
+        back = (taus[digits[:, i] @ weights] + p * back) % pr
+    return digits, back, stuck
+
+
+def _unit_mask(ring, a):
+    """``is_unit`` on (N, w) coordinates: valuation 0, a nonzero residue."""
+    residue = a[:, :ring.f] if ring.kind == POLY else a % ring.p
+    return residue.any(axis=1)
+
+
+def _exhaustive_walk(ring, taus):
+    """Cardinality, unit count and digit round trip over every element,
+    as chunks of the coordinate array in index order.
+
+    Returns the number of distinct encodings, the number of units, and
+    the index of the first element whose digits do not round-trip or on
+    which the batch and the scalar digit maps disagree (or None)."""
+    M, w = ring.coord_mod, ring.w
+    total = M ** w
+    bad = []
+    sample = _agreement_indices(total)
+    digits, back, _ = _digit_roundtrip(ring, taus, _index_coords(sample, M, w))
+    for k, d_row, b_row in zip(sample, digits.tolist(), back.tolist()):
+        d = ring.witt_digits(ring.from_index(k))
+        if d != tuple(map(tuple, d_row)) or ring.from_digits(d) != ring.from_coords(b_row):
+            bad.append(k)
+            break
+    shifts = 8 * np.arange(ring.coeff_width, dtype=np.int64)
+    encodings, units, walk_bad = [], 0, None
+    for start in range(0, total, _SELFTEST_CHUNK):
+        a = _index_coords(range(start, min(total, start + _SELFTEST_CHUNK)), M, w)
+        # the bytes of ``encode``: each coordinate little-endian, coeff_width wide
+        encodings.append((a[:, :, None] >> shifts & 0xFF).astype(np.uint8).reshape(len(a), -1))
+        units += int(_unit_mask(ring, a).sum())
+        if walk_bad is None:
+            _, back, stuck = _digit_roundtrip(ring, taus, a)
+            rows = np.flatnonzero((back != a).any(axis=1) | stuck)
+            if rows.size:
+                walk_bad = start + int(rows[0])
+                bad.append(walk_bad)
+    encodings = np.concatenate(encodings)
+    # one opaque item per row: np.unique then sorts bytes, not columns
+    distinct = len(np.unique(encodings.view(np.dtype((np.void, encodings.shape[1])))))
+    return distinct, units, min(bad, default=None)
+
+
+def _teichmuller_product_failure(ring, taus):
+    """First pair index a * q + b (a outer, index order) with
+    tau(a) tau(b) != tau(ab), or None.  Ring and field products come from
+    the structure tensors of ``ring.mul`` and ``ring.field.mul``."""
+    fld, q, p, M = ring.field, ring.q, ring.p, ring.coord_mod
+    ring_t, field_t = ring.structure_tensor(), fld.structure_tensor()
+    fels = _index_coords(range(q), p, ring.f)
+    weights = p ** np.arange(ring.f, dtype=np.int64)
+    for start in range(0, q * q, _SELFTEST_CHUNK):
+        ia, ib = np.divmod(np.arange(start, min(q * q, start + _SELFTEST_CHUNK)), q)
+        lhs = tensor_mul(ring_t, M, taus[ia], taus[ib])
+        rhs = taus[tensor_mul(field_t, p, fels[ia], fels[ib]) @ weights]
+        rows = np.flatnonzero((lhs != rhs).any(axis=1))
+        if rows.size:
+            return start + int(rows[0])
+    return None
+
+
 def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestReport:
     rng = random.Random(seed)
     checks = []
@@ -787,27 +938,23 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
     def rnd():
         return ring.rand(rng)
 
+    # the Teichmueller lifts of F_q in index order, for the batched witt
+    # digit round trip and the exhaustive multiplicativity check
+    need_taus = (small and ring.kind == WITT) or ring.q * ring.q <= cap
+    taus = _teichmuller_table(ring) if need_taus else None
+
     # one exhaustive walk when the ring is small enough: distinctness of
     # encodings (cardinality), unit count, and digit round-trips all
-    # share the same element loop
+    # share the same chunks of the element array
     expected_units = ring.q ** (ring.r - 1) * (ring.q - 1)
     if small:
-        seen = set()
-        units = 0
-        digits_bad = None
-        enc, isu = ring.encode, ring.is_unit
-        wd, fd = ring.witt_digits, ring.from_digits
-        for a in ring.elements():
-            seen.add(enc(a))
-            if isu(a):
-                units += 1
-            if digits_bad is None and fd(wd(a)) != a:
-                digits_bad = ring.render(a)
-        note("cardinality", len(seen) == ring.size, "exhaustive",
-             None if len(seen) == ring.size else f"{len(seen)} != {ring.size}")
+        distinct, units, digits_bad = _exhaustive_walk(ring, taus)
+        note("cardinality", distinct == ring.size, "exhaustive",
+             None if distinct == ring.size else f"{distinct} != {ring.size}")
         note("unit-count", units == expected_units, "exhaustive",
              None if units == expected_units else f"{units} != {expected_units}")
-        note("digits-roundtrip", digits_bad is None, "exhaustive", digits_bad)
+        note("digits-roundtrip", digits_bad is None, "exhaustive",
+             None if digits_bad is None else ring.render(ring.from_index(digits_bad)))
     else:
         note("cardinality", True, "skipped", "size above exhaustive cap")
         ok, wit = True, None
@@ -874,13 +1021,10 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
     ok, wit = True, None
     if ring.q * ring.q <= cap:
         mode = "exhaustive"
-        for a in fld.elements():
-            for b in fld.elements():
-                if ring.mul(ring.teichmuller(a), ring.teichmuller(b)) != ring.teichmuller(fld.mul(a, b)):
-                    ok, wit = False, f"({fld.render(a)}, {fld.render(b)})"
-                    break
-            if not ok:
-                break
+        k = _teichmuller_product_failure(ring, taus)
+        if k is not None:
+            a, b = fld.from_index(k // ring.q), fld.from_index(k % ring.q)
+            ok, wit = False, f"({fld.render(a)}, {fld.render(b)})"
     else:
         mode = "sampled"
         for _ in range(samples):

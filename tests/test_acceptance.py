@@ -3,6 +3,8 @@ budget.  Every numeric constant asserted here was computed independently
 (brute force or by hand) before being frozen into the test."""
 
 import contextlib
+import hashlib
+import json
 import random
 import time
 
@@ -151,23 +153,27 @@ def test_exponent_step_inequality():
                     assert values[r] <= p * values[r - 1], (kind, p, r, values)
 
 
-def test_ring_selftest_grid():
+def _selftest_grid():
     # every (kind, p, f, r) with p^(rf) <= 10^4 over the primes that admit
     # a non-trivial truncation (p <= 97, i.e. p^2 <= 10^4), plus a spread
     # of single-parameter prime fields up to the size bound
+    triples = []
+    for p in primerange(2, 98):
+        m = 1
+        while p ** (m + 1) <= 10_000:
+            m += 1
+        for f in range(1, m + 1):
+            for r in range(1, m // f + 1):
+                if p ** (f * r) <= 10_000:
+                    triples.append((int(p), f, r))
+    assert len(triples) == 146
+    return triples + [(101, 1, 1), (499, 1, 1), (1009, 1, 1), (4999, 1, 1),
+                      (9973, 1, 1)]
+
+
+def test_ring_selftest_grid():
     with criterion("ring-selftest-grid", 30.0):
-        triples = []
-        for p in primerange(2, 98):
-            m = 1
-            while p ** (m + 1) <= 10_000:
-                m += 1
-            for f in range(1, m + 1):
-                for r in range(1, m // f + 1):
-                    if p ** (f * r) <= 10_000:
-                        triples.append((int(p), f, r))
-        assert len(triples) == 146
-        triples += [(101, 1, 1), (499, 1, 1), (1009, 1, 1), (4999, 1, 1),
-                    (9973, 1, 1)]
+        triples = _selftest_grid()
         for p, f, r in triples:
             for kind in ("witt", "poly"):
                 ring = ring_make(kind, p, f, r)
@@ -179,3 +185,21 @@ def test_ring_selftest_grid():
                 assert "characteristic" in names
                 assert "teichmuller-multiplicative" in names
                 assert "teichmuller-fixed" in names
+
+
+# sha256 of every grid SelfTestReport (label, kind, p, f, r and each check's
+# name, ok, mode and witness), as computed by the scalar self test that
+# walked every element in Python loops
+_GRID_REPORTS_SHA256 = "728cc1ed22263628e596b3864cbcbb227a7c907b44c3ab2071d817038bc83151"
+
+
+def test_ring_selftest_grid_reports_pinned():
+    for seed in (0, 1):
+        reports = []
+        for p, f, r in _selftest_grid():
+            for kind in ("witt", "poly"):
+                rep = ring_make(kind, p, f, r).selftest(seed=seed)
+                reports.append([rep.ring_label, rep.kind, rep.p, rep.f, rep.r,
+                                [[c.name, c.ok, c.mode, c.witness] for c in rep.checks]])
+        blob = json.dumps(reports, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == _GRID_REPORTS_SHA256, seed

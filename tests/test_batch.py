@@ -101,3 +101,24 @@ def test_encode_overflow_guard():
 def test_batchring_is_cached_per_ring():
     R = ring_make("poly", 2, 1, 2)
     assert BatchRing.get(R) is BatchRing.get(R)
+
+
+def test_matpow_multiplies_only_what_it_needs(monkeypatch, rng):
+    R = ring_make("poly", 3, 1, 2)
+    br = BatchRing.get(R)
+    blocks = br.block(np.array([mat_coords(_rand_mat(R, 2, rng)) for _ in range(4)]))
+    calls = [0]
+    matmul = BatchRing.matmul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return matmul(self, a, b)
+    monkeypatch.setattr(BatchRing, "matmul", counted)
+    for e, expected in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (12, 4)):
+        calls[0] = 0
+        got = br.matpow(blocks, e)
+        assert calls[0] == expected, e
+        ref = np.broadcast_to(np.eye(blocks.shape[-1], dtype=np.int64), blocks.shape)
+        for _ in range(e):
+            ref = matmul(br, ref, blocks)
+        assert np.array_equal(got, ref), e

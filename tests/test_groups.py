@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from truncgrp import (CapExceededError, GroupDesc, Mat, MembershipError,
                       generators, kuelshammer_profile, load_cache,
                       partition_for, ring_make,
                       save_cache, proven_regime)
+from truncgrp import groups
 from truncgrp.groups import cache_slug
 
 
@@ -300,6 +303,49 @@ def test_cache_rejects_corruption(tmp_path):
     path.write_bytes(path.read_bytes()[:10])
     assert load_cache(path, grp) is None
     assert load_cache(tmp_path / "missing.kkg", grp) is None
+
+
+def test_cache_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):
+    grp, _, part = _pipeline("SL", 2, "witt", 2, 1, 2)
+    path = tmp_path / "x.kkg"
+    save_cache(path, part)
+    before = path.read_bytes()
+    real_open = open
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(groups, "open", lambda *a: HalfWriter(real_open(*a)), raising=False)
+    with pytest.raises(OSError):
+        save_cache(path, part)
+    assert path.read_bytes() == before
+    assert load_cache(path, grp) is not None
+    assert [q.name for q in tmp_path.iterdir()] == ["x.kkg"]
+
+
+@pytest.mark.parametrize("fam, kind, sha256", [
+    ("GL", "poly", "aa9612968b92309b7ba25f81f5d242c8255cc05116f75aa2fb0ee8c9be06d521"),
+    ("SL", "witt", "1cc2f86ea55a95016858bd4918e1b653f8172252afd2356017983025442bdded"),
+])
+def test_cache_bytes_pinned(tmp_path, fam, kind, sha256):
+    # digests of the files a plain write_bytes produced before the rename
+    _, _, part = _pipeline(fam, 2, kind, 2, 1, 2)
+    path = tmp_path / "x.kkg"
+    save_cache(path, part)
+    save_cache(path, part)  # replaces an existing file
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    assert [q.name for q in tmp_path.iterdir()] == ["x.kkg"]
 
 
 def test_partition_for_uses_cache(tmp_path):

@@ -1,10 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncgrp import (NonUnitError, ParseError, field_make, parse_element,
                       ring_make)
+from truncgrp import ring as ringmod
+from truncgrp.ring import Fq, Ring
 
 
 def _naive_irreducible(coeffs, p):
@@ -327,3 +332,111 @@ def test_pow_negative_exponent_inverts():
     assert R.pow(a, -1) == R.from_int(18)
     assert R.pow(a, -2) == R.mul(R.from_int(18), R.from_int(18))
     assert math.gcd(7, 25) == 1  # sanity: 7 really is a unit
+
+
+# ---------------------------------------------------------------------------
+# powers and the self test's batched checks
+
+def _count_calls(monkeypatch, cls, name):
+    calls = [0]
+    orig = getattr(cls, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return orig(*args)
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 7, 8, 13, 64, 255, 1000])
+def test_pow_makes_no_product_by_one(monkeypatch, e):
+    F = Fq(3, 2)
+    R = ring_make("witt", 2, 2, 3)
+    fq_calls = _count_calls(monkeypatch, Fq, "mul")
+    ring_calls = _count_calls(monkeypatch, Ring, "mul")
+    expected = e.bit_length() - 1 + bin(e).count("1") - 1
+    a = (2, 1)
+    got = F.pow(a, e)
+    assert fq_calls[0] == expected
+    ref = F.one
+    for _ in range(e):
+        ref = F.mul(ref, a)
+    assert got == ref
+    got = R.pow((3, 5), e)
+    assert ring_calls[0] == expected
+    ref = R.one
+    for _ in range(e):
+        ref = R.mul(ref, (3, 5))
+    assert got == ref
+    assert F.pow(a, 0) == F.one and R.pow((3, 5), 0) == R.one
+
+
+def _scalar_fermat_witness(F):
+    for a in F.elements():
+        x = a
+        for _ in range(F.f):
+            x = F.frobenius(x)
+        if x != a:
+            return a
+    return None
+
+
+@pytest.mark.parametrize("p, f, modulus, witness", [
+    (2, 2, (0, 0, 1), (0, 1)),        # F_2[x]/x^2: x^2 = 0
+    (2, 2, (1, 0, 1), (0, 1)),        # F_2[x]/(x+1)^2: x^4 = 1
+    (3, 2, (2, 0, 1), None),          # F_3[x]/(x^2-1) = F_3 x F_3
+    (3, 2, (0, 0, 1), (0, 1)),        # F_3[x]/x^2
+    (2, 3, (0, 1, 0, 1), (0, 1, 0)),  # F_2[x]/x(x+1)^2: x^8 = x^2
+    (5, 2, (2, 0, 1), None),          # the field itself
+])
+def test_batch_fermat_matches_scalar_on_replaced_modulus(p, f, modulus, witness):
+    F = Fq(p, f)
+    F.modulus = modulus  # after construction: no irreducibility check
+    assert F.fermat_check() == _scalar_fermat_witness(F) == witness
+
+
+def test_fermat_disagreement_between_batch_and_scalar_is_a_witness(monkeypatch):
+    F = Fq(2, 3)  # 8 elements: every one is an agreement sample
+    wrong = (1, 1, 0)
+    frob = F.frobenius
+    monkeypatch.setattr(F, "frobenius", lambda a: F.zero if a == wrong else frob(a))
+    assert F.fermat_check() == wrong
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["witt", "poly"]), p=st.sampled_from([2, 3, 5]),
+       f=st.integers(1, 3), r=st.integers(1, 4), data=st.data())
+def test_batch_digits_and_units_agree_with_scalar(kind, p, f, r, data):
+    R = ring_make(kind, p, f, r)
+    idx = data.draw(st.lists(st.integers(0, R.size - 1), min_size=1, max_size=16))
+    a = ringmod._index_coords(idx, R.coord_mod, R.w)
+    digits, back, stuck = ringmod._digit_roundtrip(R, ringmod._teichmuller_table(R), a)
+    units = ringmod._unit_mask(R, a)
+    assert not stuck.any()
+    for k, row, d_row, b_row, unit in zip(idx, a.tolist(), digits.tolist(),
+                                          back.tolist(), units.tolist()):
+        x = R.from_index(k)
+        assert R.coords(x) == tuple(row)
+        d = R.witt_digits(x)
+        assert d == tuple(map(tuple, d_row))
+        assert R.from_digits(d) == R.from_coords(b_row) == x
+        assert R.is_unit(x) == unit
+
+
+def test_selftest_batch_checks_report_failures():
+    R = ring_make("witt", 3, 1, 2)  # Z/9, tau = (0, 1, 8)
+    good = ringmod._teichmuller_table(R)
+    assert ringmod._exhaustive_walk(R, good) == (9, 6, None)
+    assert ringmod._teichmuller_product_failure(R, good) is None
+    # tau(2) = 2 keeps the residues, so the digits still round-trip, but
+    # the scalar digits of 2 (sampled) disagree, and tau(2)^2 != tau(1)
+    lifts = good.copy()
+    lifts[2] = 2
+    assert ringmod._exhaustive_walk(R, lifts)[2] == 2
+    assert ringmod._teichmuller_product_failure(R, lifts) == 2 * 3 + 2
+    # tau(2) = 0 has the wrong residue: 2 - tau(2) does not shift down by 3
+    a = ringmod._index_coords(range(9), 9, 1)
+    lifts[2] = 0
+    stuck = ringmod._digit_roundtrip(R, lifts, a)[2]
+    assert np.flatnonzero(stuck).tolist() == [2, 5, 8]
+    assert ringmod._exhaustive_walk(R, lifts)[2] == 2
