@@ -37,13 +37,25 @@ def tensor_from_mul(mul, basis, coords) -> np.ndarray:
     return T
 
 
+def products_fit_int64(w, M) -> bool:
+    """Whether sums of w products of residues mod M stay inside int64,
+    as every partial sum of ``tensor_mul`` and of block matmuls must."""
+    return w * (M - 1) ** 2 < 2 ** 63
+
+
+def _regrep(T, M, a):
+    """(..., w) coordinate vectors to their (..., w, w) multiplication
+    matrices mod M: R(a)[k, j] = sum_i a_i T[i, j, k]."""
+    rep = np.tensordot(np.asarray(a, dtype=np.int64), T, axes=([-1], [0]))  # (..., j, k)
+    return rep.swapaxes(-1, -2) % M
+
+
 def tensor_mul(T, M, a, b):
     """Products of (..., w) coordinate vectors mod M under the tensor T.
 
     The multiplication matrix of a (reduced mod M) is applied to b, so a
-    partial sum stays below w * (M - 1)^2, the bound ``block`` checks."""
-    rep = np.tensordot(np.asarray(a, dtype=np.int64), T, axes=([-1], [0])) % M
-    return np.einsum("...jk,...j->...k", rep, b) % M
+    partial sum stays below w * (M - 1)^2 (see ``products_fit_int64``)."""
+    return np.einsum("...kj,...j->...k", _regrep(T, M, a), b) % M
 
 
 def square_and_multiply(mul, a, e: int):
@@ -93,10 +105,7 @@ class BatchRing:
 
     def regrep(self, coords: np.ndarray) -> np.ndarray:
         """(..., w) coordinate vectors to (..., w, w) multiplication matrices."""
-        a = np.asarray(coords, dtype=np.int64)
-        # R(a)[k, j] = sum_i a_i T[i, j, k]
-        rep = np.tensordot(a, self.T, axes=([-1], [0]))  # (..., j, k)
-        return rep.swapaxes(-1, -2) % self.M
+        return _regrep(self.T, self.M, coords)
 
     def block(self, mats: np.ndarray) -> np.ndarray:
         """(..., n, n, w) coordinate matrices to (..., n*w, n*w) blocks."""
@@ -106,8 +115,7 @@ class BatchRing:
         rep = np.moveaxis(rep, -3, -2)  # (..., n, w, n, w)
         shape = rep.shape[:-4] + (n * self.w, n * self.w)
         blk = rep.reshape(shape)
-        bound = n * self.w * (self.M - 1) ** 2
-        if bound >= 2 ** 63:
+        if not products_fit_int64(n * self.w, self.M):
             raise OverflowError("block products would overflow int64")
         return blk
 

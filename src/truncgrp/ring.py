@@ -35,8 +35,11 @@ elements.  Products there come from ``structure_tensor``, which the
 scalar ``mul`` of the very Fq or Ring under test computes on its basis,
 and Witt digits from one table of the q lifts of ``teichmuller``.  A
 few elements of each batched check also run through the scalar
-Frobenius or digit maps; a disagreement fails the check.  The sampled
-checks stay scalar and tie the tensors to ``Fq.mul`` and ``Ring.mul``.
+Frobenius, ``encode``, ``is_unit`` or digit maps; a disagreement fails
+the check.  Teichmueller multiplicativity runs batched only while its
+int64 sums are exact (``batch.products_fit_int64``), and otherwise runs
+its q^2 pairs through the scalar arithmetic.  The sampled checks stay
+scalar and tie the tensors to ``Fq.mul`` and ``Ring.mul``.
 
 Text forms: poly elements render like ``1+2t+t^2``, witt elements as
 plain integers (f = 1) or x-polynomials.  ``parse_element`` accepts
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import square_and_multiply, tensor_from_mul, tensor_mul
+from .batch import products_fit_int64, square_and_multiply, tensor_from_mul, tensor_mul
 from .errors import NonUnitError, ParseError
 
 POLY = "poly"
@@ -873,47 +876,85 @@ def _unit_mask(ring, a):
     return residue.any(axis=1)
 
 
-def _exhaustive_walk(ring, taus):
+def _encode_rows(ring, a):
+    """``encode`` on (N, w) coordinates: (N, w * coeff_width) bytes."""
+    shifts = 8 * np.arange(ring.coeff_width, dtype=np.int64)
+    return (a[:, :, None] >> shifts & 0xFF).astype(np.uint8).reshape(len(a), -1)
+
+
+def _exhaustive_walk(ring, taus, expected_units):
     """Cardinality, unit count and digit round trip over every element,
     as chunks of the coordinate array in index order.
 
-    Returns the number of distinct encodings, the number of units, and
-    the index of the first element whose digits do not round-trip or on
-    which the batch and the scalar digit maps disagree (or None)."""
+    The batch maps (``_encode_rows``, ``_unit_mask``, ``_digit_roundtrip``)
+    run on every element.  At ``_agreement_indices`` the scalar
+    ``encode``, ``is_unit``, ``witt_digits`` and ``from_digits`` run too,
+    and a disagreement fails the check it belongs to.  Returns the
+    witnesses of the cardinality, unit-count and digits-roundtrip checks,
+    None where a check passes; a digit witness is the first bad element
+    in index order."""
     M, w = ring.coord_mod, ring.w
     total = M ** w
-    bad = []
     sample = _agreement_indices(total)
-    digits, back, _ = _digit_roundtrip(ring, taus, _index_coords(sample, M, w))
-    for k, d_row, b_row in zip(sample, digits.tolist(), back.tolist()):
-        d = ring.witt_digits(ring.from_index(k))
-        if d != tuple(map(tuple, d_row)) or ring.from_digits(d) != ring.from_coords(b_row):
-            bad.append(k)
-            break
-    shifts = 8 * np.arange(ring.coeff_width, dtype=np.int64)
-    encodings, units, walk_bad = [], 0, None
+    a = _index_coords(sample, M, w)
+    enc_rows, unit_rows = _encode_rows(ring, a), _unit_mask(ring, a).tolist()
+    digits, back, _ = _digit_roundtrip(ring, taus, a)
+    encode_bad = unit_bad = sample_bad = walk_bad = None
+    for i, k in enumerate(sample):
+        x = ring.from_index(k)
+        if encode_bad is None and ring.encode(x) != enc_rows[i].tobytes():
+            encode_bad = x
+        if unit_bad is None and ring.is_unit(x) != unit_rows[i]:
+            unit_bad = x
+        if sample_bad is None:
+            d = ring.witt_digits(x)
+            if d != tuple(map(tuple, digits[i].tolist())) or ring.from_digits(d) != ring.from_coords(back[i]):
+                sample_bad = k
+    encodings, units = [], 0
     for start in range(0, total, _SELFTEST_CHUNK):
         a = _index_coords(range(start, min(total, start + _SELFTEST_CHUNK)), M, w)
-        # the bytes of ``encode``: each coordinate little-endian, coeff_width wide
-        encodings.append((a[:, :, None] >> shifts & 0xFF).astype(np.uint8).reshape(len(a), -1))
+        encodings.append(_encode_rows(ring, a))
         units += int(_unit_mask(ring, a).sum())
         if walk_bad is None:
             _, back, stuck = _digit_roundtrip(ring, taus, a)
             rows = np.flatnonzero((back != a).any(axis=1) | stuck)
             if rows.size:
                 walk_bad = start + int(rows[0])
-                bad.append(walk_bad)
     encodings = np.concatenate(encodings)
     # one opaque item per row: np.unique then sorts bytes, not columns
     distinct = len(np.unique(encodings.view(np.dtype((np.void, encodings.shape[1])))))
-    return distinct, units, min(bad, default=None)
+    if distinct != ring.size:
+        card_wit = f"{distinct} != {ring.size}"
+    elif encode_bad is not None:
+        card_wit = f"encode disagrees with the batch bytes on {ring.render(encode_bad)}"
+    else:
+        card_wit = None
+    if units != expected_units:
+        unit_wit = f"{units} != {expected_units}"
+    elif unit_bad is not None:
+        unit_wit = f"is_unit disagrees with the batch mask on {ring.render(unit_bad)}"
+    else:
+        unit_wit = None
+    digit_bad = min((k for k in (sample_bad, walk_bad) if k is not None), default=None)
+    digit_wit = None if digit_bad is None else ring.render(ring.from_index(digit_bad))
+    return card_wit, unit_wit, digit_wit
 
 
 def _teichmuller_product_failure(ring, taus):
     """First pair index a * q + b (a outer, index order) with
-    tau(a) tau(b) != tau(ab), or None.  Ring and field products come from
-    the structure tensors of ``ring.mul`` and ``ring.field.mul``."""
+    tau(a) tau(b) != tau(ab), or None.
+
+    With a lift table ``taus``, ring and field products come from the
+    structure tensors of ``ring.mul`` and ``ring.field.mul``.  Without one
+    (the products would overflow int64) the pairs run through the scalar
+    ``mul`` and ``teichmuller`` on Python integers."""
     fld, q, p, M = ring.field, ring.q, ring.p, ring.coord_mod
+    if taus is None:
+        fels = list(fld.elements())
+        for k, (a, b) in enumerate(itertools.product(fels, repeat=2)):
+            if ring.mul(ring.teichmuller(a), ring.teichmuller(b)) != ring.teichmuller(fld.mul(a, b)):
+                return k
+        return None
     ring_t, field_t = ring.structure_tensor(), fld.structure_tensor()
     fels = _index_coords(range(q), p, ring.f)
     weights = p ** np.arange(ring.f, dtype=np.int64)
@@ -939,22 +980,21 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
         return ring.rand(rng)
 
     # the Teichmueller lifts of F_q in index order, for the batched witt
-    # digit round trip and the exhaustive multiplicativity check
-    need_taus = (small and ring.kind == WITT) or ring.q * ring.q <= cap
+    # digit round trip and the exhaustive multiplicativity check; the
+    # latter runs batched only while its int64 partial sums are exact
+    pairs_exhaustive = ring.q * ring.q <= cap
+    pairs_batched = pairs_exhaustive and products_fit_int64(ring.w, ring.coord_mod)
+    need_taus = (small and ring.kind == WITT) or pairs_batched
     taus = _teichmuller_table(ring) if need_taus else None
 
     # one exhaustive walk when the ring is small enough: distinctness of
     # encodings (cardinality), unit count, and digit round-trips all
     # share the same chunks of the element array
-    expected_units = ring.q ** (ring.r - 1) * (ring.q - 1)
     if small:
-        distinct, units, digits_bad = _exhaustive_walk(ring, taus)
-        note("cardinality", distinct == ring.size, "exhaustive",
-             None if distinct == ring.size else f"{distinct} != {ring.size}")
-        note("unit-count", units == expected_units, "exhaustive",
-             None if units == expected_units else f"{units} != {expected_units}")
-        note("digits-roundtrip", digits_bad is None, "exhaustive",
-             None if digits_bad is None else ring.render(ring.from_index(digits_bad)))
+        expected_units = ring.q ** (ring.r - 1) * (ring.q - 1)
+        witnesses = _exhaustive_walk(ring, taus, expected_units)
+        for name, wit in zip(("cardinality", "unit-count", "digits-roundtrip"), witnesses):
+            note(name, wit is None, "exhaustive", wit)
     else:
         note("cardinality", True, "skipped", "size above exhaustive cap")
         ok, wit = True, None
@@ -1019,9 +1059,9 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
         note("teichmuller-fixed", ok, "exhaustive", wit)
 
     ok, wit = True, None
-    if ring.q * ring.q <= cap:
+    if pairs_exhaustive:
         mode = "exhaustive"
-        k = _teichmuller_product_failure(ring, taus)
+        k = _teichmuller_product_failure(ring, taus if pairs_batched else None)
         if k is not None:
             a, b = fld.from_index(k // ring.q), fld.from_index(k % ring.q)
             ok, wit = False, f"({fld.render(a)}, {fld.render(b)})"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from truncgrp import (NonUnitError, ParseError, field_make, parse_element,
                       ring_make)
+from truncgrp import batch as batchmod
 from truncgrp import ring as ringmod
 from truncgrp.ring import Fq, Ring
 
@@ -426,17 +427,50 @@ def test_batch_digits_and_units_agree_with_scalar(kind, p, f, r, data):
 def test_selftest_batch_checks_report_failures():
     R = ring_make("witt", 3, 1, 2)  # Z/9, tau = (0, 1, 8)
     good = ringmod._teichmuller_table(R)
-    assert ringmod._exhaustive_walk(R, good) == (9, 6, None)
+    assert ringmod._exhaustive_walk(R, good, 6) == (None, None, None)
     assert ringmod._teichmuller_product_failure(R, good) is None
     # tau(2) = 2 keeps the residues, so the digits still round-trip, but
     # the scalar digits of 2 (sampled) disagree, and tau(2)^2 != tau(1)
     lifts = good.copy()
     lifts[2] = 2
-    assert ringmod._exhaustive_walk(R, lifts)[2] == 2
+    assert ringmod._exhaustive_walk(R, lifts, 6)[2] == "2"
     assert ringmod._teichmuller_product_failure(R, lifts) == 2 * 3 + 2
     # tau(2) = 0 has the wrong residue: 2 - tau(2) does not shift down by 3
     a = ringmod._index_coords(range(9), 9, 1)
     lifts[2] = 0
     stuck = ringmod._digit_roundtrip(R, lifts, a)[2]
     assert np.flatnonzero(stuck).tolist() == [2, 5, 8]
-    assert ringmod._exhaustive_walk(R, lifts)[2] == 2
+    assert ringmod._exhaustive_walk(R, lifts, 6)[2] == "2"
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+def test_selftest_walk_checks_scalar_encode_and_is_unit(monkeypatch):
+    R = ring_make("witt", 2, 1, 9)  # Z/512: two bytes per coordinate
+    assert R.coeff_width == 2
+    encode = Ring.encode
+    monkeypatch.setattr(Ring, "encode", lambda self, a: encode(self, a)[::-1])
+    card = _check(R.selftest(), "cardinality")
+    assert not card.ok and card.mode == "exhaustive"
+    assert card.witness == "encode disagrees with the batch bytes on 32"
+    monkeypatch.setattr(Ring, "encode", encode)
+    monkeypatch.setattr(Ring, "valuation", lambda self, a: 0)
+    units = _check(R.selftest(), "unit-count")
+    assert not units.ok and units.mode == "exhaustive"
+    assert units.witness == "is_unit disagrees with the batch mask on 32"
+
+
+@pytest.mark.parametrize("p, f, r", [
+    (3, 1, 20),  # tau(2)^2 = (3^20 - 1)^2 wraps int64
+    (3, 1, 41),  # 3^41 > 2^63: the lifts themselves do not fit
+    (3, 2, 20),  # f > 1: the lifts fit, their products do not
+    (2, 2, 64),  # 2^64 > 2^63
+])
+def test_selftest_teichmuller_pairs_exact_beyond_int64(p, f, r):
+    R = ring_make("witt", p, f, r)
+    assert not batchmod.products_fit_int64(R.w, R.coord_mod)
+    report = R.selftest(samples=5)
+    assert report.ok, report.failures()
+    assert _check(report, "teichmuller-multiplicative").mode == "exhaustive"
