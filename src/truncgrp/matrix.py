@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -121,15 +122,9 @@ class Mat:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = Mat.identity(self.ring, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if e == 0:
+            return Mat.identity(self.ring, self.n)
+        return batchmod.square_and_multiply(operator.mul, self, e)
 
     def scale(self, u):
         R = self.ring
@@ -204,7 +199,7 @@ class Mat:
         R = self.ring
         n = self.n
         res_inv = _field_inverse(R, self.rows)
-        x = Mat(R, tuple(tuple(_lift_field_elem(R, e) for e in row) for row in res_inv))
+        x = Mat(R, tuple(tuple(R.lift(e) for e in row) for row in res_inv))
         two_i = Mat.identity(R, n) + Mat.identity(R, n)
         steps = max(0, (R.r - 1).bit_length())
         for _ in range(steps):
@@ -260,12 +255,6 @@ def _field_inverse(R, rows):
                 factor = aug[i][c]
                 aug[i] = [F.sub(e, F.mul(factor, pe)) for e, pe in zip(aug[i], aug[c])]
     return [row[n:] for row in aug]
-
-
-def _lift_field_elem(R, a):
-    if R.kind == ringmod.WITT:
-        return tuple(a)
-    return (a,) + (R.field.zero,) * (R.r - 1)
 
 
 def transvection(ring, n, i, j, u):
@@ -381,6 +370,19 @@ def element_order(mat: Mat, group: GroupDesc) -> int:
 # ---------------------------------------------------------------------------
 # length-2 power expansion helpers
 
+def _expansion_terms(A: Mat, X: Mat, m: int):
+    """A^m and sum_{i=0}^{m-1} A^(m-i) X A^i, the two parts of the
+    length-2 expansion of (A (I + pi X))^m, from one list of powers."""
+    R = A.ring
+    pows = [Mat.identity(R, A.n)]
+    for _ in range(m):
+        pows.append(pows[-1] * A)
+    total = Mat.zero(R, A.n)
+    for i in range(m):
+        total = total + pows[m - i] * X * pows[i]
+    return pows[m], total
+
+
 def unitriangular_power(A: Mat, X: Mat, m: int) -> Mat:
     """A^m + pi * sum_{i=0}^{m-1} A^(m-i) X A^i, over a length-2 ring.
 
@@ -396,13 +398,8 @@ def unitriangular_power(A: Mat, X: Mat, m: int) -> Mat:
         raise ValueError("A must be upper unitriangular")
     if m < 0:
         raise ValueError("m must be >= 0")
-    pows = [Mat.identity(R, A.n)]
-    for _ in range(m):
-        pows.append(pows[-1] * A)
-    total = Mat.zero(R, A.n)
-    for i in range(m):
-        total = total + pows[m - i] * X * pows[i]
-    return pows[m] + total.scale(R.pi)
+    power, total = _expansion_terms(A, X, m)
+    return power + total.scale(R.pi)
 
 
 def chu_sum(p: int, k: int, ell: int) -> int:
@@ -433,13 +430,7 @@ def b_matrix(A: Mat, X: Mat, p: int | None = None) -> Mat:
         raise ValueError("p must be the residue characteristic of the ring")
     if not A.is_unitriangular():
         raise ValueError("A must be upper unitriangular")
-    pows = [Mat.identity(R, A.n)]
-    for _ in range(p):
-        pows.append(pows[-1] * A)
-    total = Mat.zero(R, A.n)
-    for i in range(p):
-        total = total + pows[p - i] * X * pows[i]
-    return total
+    return _expansion_terms(A, X, p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +451,7 @@ def _sylow_tables(R):
     elements of pi * O_r, in canonical digit order (first digit slowest)."""
     F = R.field
     fels = list(F.elements())
-    lifts = [R.coords(_lift_field_elem(R, a)) for a in fels]
+    lifts = [R.coords(R.lift(a)) for a in fels]
     pim = [R.coords(R.from_digits((F.zero,) + combo))
            for combo in itertools.product(fels, repeat=R.r - 1)]
     return np.array(lifts, dtype=np.int64), np.array(pim, dtype=np.int64)

@@ -20,6 +20,14 @@ is chosen deterministically: scanning the non-leading coefficients as
 little-endian base-p digits, the first monic irreducible wins.  All
 derived encodings are therefore reproducible across runs and platforms.
 
+Multiplication: one kernel, ``_mulmod``, multiplies two integer
+coefficient tuples modulo a monic polynomial and an integer.  ``Fq.mul``
+uses it with (m, p), the witt ``Ring.mul`` with (mhat, p^r), the poly
+``Ring.mul`` with m at x = y^(2r-1) on a packed form (see ``Ring.mul``),
+and the irreducibility test behind the modulus scan for its powers of x
+(``batch.square_and_multiply``) and its gcd remainders.  Only the
+one-product cases (f = 1, and r = f = 1 for poly) skip it.
+
 Elements are immutable tuples and Fq/Ring instances are read-only
 context objects, so everything here is safe for concurrent use.
 
@@ -136,39 +144,26 @@ def _ptrim(a):
     return a[:i]
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
+def _mulmod(a, b, m, M):
+    """a * b modulo the monic polynomial m and the integer M.
+
+    a, b and m are integer coefficient tuples in ascending degree; the
+    result has deg m coefficients in [0, M).  Coefficients are reduced
+    mod M as they are formed, and the reduction skips zero coefficients
+    of m."""
+    d = len(m) - 1
+    prod = [0] * max(len(a) + len(b) - 1, d)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(tuple(out))
-
-
-def _pmod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    for d in range(len(a) - 1, dm - 1, -1):
-        c = a[d]
+            for k, bj in enumerate(b, i):
+                prod[k] = (prod[k] + ai * bj) % M
+    for top in range(len(prod) - 1, d - 1, -1):
+        c = prod[top]
         if c:
-            for i in range(dm):
-                a[d - dm + i] = (a[d - dm + i] - c * m[i]) % p
-            a[d] = 0
-    return _ptrim(tuple(a))
-
-
-def _ppow_mod(a, e, m, p):
-    result = (1,)
-    base = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
+            for k, mi in enumerate(m, top - d):
+                if mi:
+                    prod[k] = (prod[k] - c * mi) % M
+    return tuple(prod[:d])
 
 
 def _pgcd(a, b, p):
@@ -176,7 +171,7 @@ def _pgcd(a, b, p):
     while b:
         inv_lead = pow(b[-1], -1, p)
         bm = tuple(c * inv_lead % p for c in b)
-        a, b = b, _pmod(a, bm, p)
+        a, b = b, _ptrim(_mulmod(a, (1,), bm, p))
     return a
 
 
@@ -202,15 +197,14 @@ def _is_irreducible(m, p):
             return False
         if f <= 3:
             return True
-    x = (0, 1)
-    if _ppow_mod(x, p ** f, m, p) != x:
+    x = (0, 1) + (0,) * (f - 2)
+    mul = functools.partial(_mulmod, m=m, M=p)
+    if square_and_multiply(mul, x, p ** f) != x:
         return False
     for ell in _prime_divisors(f):
-        xd = _ppow_mod(x, p ** (f // ell), m, p)
-        diff = list(xd) + [0, 0]
+        diff = list(square_and_multiply(mul, x, p ** (f // ell)))
         diff[1] = (diff[1] - 1) % p
-        g = _pgcd(tuple(diff), m, p)
-        if len(g) > 1:
+        if len(_pgcd(diff, m, p)) > 1:
             return False
     return True
 
@@ -270,12 +264,6 @@ class Fq:
     def __hash__(self):
         return hash((self.p, self.f, self.modulus))
 
-    def element(self, coeffs) -> tuple:
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.f:
-            raise ValueError(f"need {self.f} coefficients")
-        return coeffs
-
     def from_int(self, k: int) -> tuple:
         return (k % self.p,) + (0,) * (self.f - 1)
 
@@ -292,21 +280,9 @@ class Fq:
         return tuple(-x % p for x in a)
 
     def mul(self, a, b):
-        p, f = self.p, self.f
-        if f == 1:
-            return (a[0] * b[0] % p,)
-        prod = [0] * (2 * f - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        m = self.modulus
-        for d in range(2 * f - 2, f - 1, -1):
-            c = prod[d]
-            if c:
-                for i in range(f):
-                    prod[d - f + i] = (prod[d - f + i] - c * m[i]) % p
-        return tuple(prod[:f])
+        if self.f == 1:
+            return (a[0] * b[0] % self.p,)
+        return _mulmod(a, b, self.modulus, self.p)
 
     def inv(self, a):
         if a == self.zero:
@@ -477,6 +453,10 @@ class Ring:
                 self.pi = (fz, fo) + (fz,) * (r - 2)
             else:
                 self.pi = self.zero
+            # see mul: the field modulus m(x) at x = y^(2r-1)
+            mpack = [0] * (f * (2 * r - 1) + 1)
+            mpack[::2 * r - 1] = self.field.modulus
+            self._mpack = tuple(mpack)
         self.coeff_width = max(1, ((self.coord_mod - 1).bit_length() + 7) // 8)
         self._teich = {}
 
@@ -526,32 +506,24 @@ class Ring:
 
     def mul(self, a, b):
         if self.kind == WITT:
-            m, f = self.pr, self.f
-            if f == 1:
-                return (a[0] * b[0] % m,)
-            prod = [0] * (2 * f - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        prod[i + j] = (prod[i + j] + ai * bj) % m
-            mh = self.mhat
-            for d in range(2 * f - 2, f - 1, -1):
-                c = prod[d]
-                if c:
-                    for i in range(f):
-                        prod[d - f + i] = (prod[d - f + i] - c * mh[i]) % m
-            return tuple(prod[:f])
-        r = self.r
-        fmul, fadd = self.field.mul, self.field.add
-        out = []
+            if self.f == 1:
+                return (a[0] * b[0] % self.pr,)
+            return _mulmod(a, b, self.mhat, self.pr)
+        if self.w == 1:
+            return ((a[0][0] * b[0][0] % self.p,),)
+        # F_q[t]/t^r = (F_p[t]/t^r)[x]/(m).  Packed as polynomials in y
+        # with t = y and x = y^(2r-1), the t-degrees of a product (at most
+        # 2r-2) never reach the next power of x, so reducing by _mpack =
+        # m(y^(2r-1)) reduces mod m in every t-degree; truncation mod t^r
+        # is then a read-off
+        r, step = self.r, 2 * self.r - 1
+        n = (self.f - 1) * step + r
+        pa, pb = [0] * n, [0] * n
         for k in range(r):
-            acc = self.field.zero
-            for i in range(k + 1):
-                ai, bj = a[i], b[k - i]
-                if ai != self.field.zero and bj != self.field.zero:
-                    acc = fadd(acc, fmul(ai, bj))
-            out.append(acc)
-        return tuple(out)
+            pa[k::step] = a[k]
+            pb[k::step] = b[k]
+        prod = _mulmod(pa, pb, self._mpack, self.p)
+        return tuple(prod[k::step] for k in range(r))
 
     def pow(self, a, e: int):
         if e < 0:
@@ -611,11 +583,7 @@ class Ring:
         """Newton lift of the residue inverse; ceil(log2 r) iterations."""
         if not self.is_unit(a):
             raise NonUnitError(f"{self.render(a)} is not a unit in {self.label}")
-        v = self.field.inv(self.residue(a))
-        if self.kind == WITT:
-            x = tuple(v)  # integer lift of the residue inverse
-        else:
-            x = (v,) + (self.field.zero,) * (self.r - 1)
+        x = self.lift(self.field.inv(self.residue(a)))
         two = self.from_int(2)
         steps = max(0, (self.r - 1).bit_length())
         for _ in range(steps):
@@ -649,6 +617,13 @@ class Ring:
             return a[0]
         return tuple(c % self.p for c in a)
 
+    def lift(self, a):
+        """The element with the field element a's integer coefficients: the
+        constant a (poly kind), or a's coefficients read mod p^r (witt)."""
+        if self.kind == POLY:
+            return (tuple(a),) + (self.field.zero,) * (self.r - 1)
+        return tuple(a)
+
     # -- Teichmueller section and digits -------------------------------------
 
     def teichmuller(self, a):
@@ -657,13 +632,11 @@ class Ring:
         Witt kind: tau(a) = (any lift)^(q^(r-1)), the unique root of
         X^q = X over a.  Poly kind: the constant-coefficient embedding.
         """
-        if self.kind == POLY:
-            return (a,) + (self.field.zero,) * (self.r - 1)
-        if self.r == 1:
-            return tuple(a)  # q^0-th power of the lift: the element itself
+        if self.kind == POLY or self.r == 1:
+            return self.lift(a)  # r = 1: the q^0-th power of the lift
         t = self._teich.get(a)
         if t is None:
-            t = self.pow(tuple(a), self.q ** (self.r - 1))
+            t = self.pow(self.lift(a), self.q ** (self.r - 1))
             self._teich[a] = t
         return t
 
@@ -771,18 +744,7 @@ class Ring:
 
     def render(self, a) -> str:
         if self.kind == WITT:
-            if self.f == 1:
-                return str(a[0])
-            terms = []
-            for i, c in enumerate(a):
-                if c == 0:
-                    continue
-                if i == 0:
-                    terms.append(str(c))
-                else:
-                    var = "x" if i == 1 else f"x^{i}"
-                    terms.append(var if c == 1 else f"{c}{var}")
-            return "+".join(terms) if terms else "0"
+            return self.field.render(a)  # the same x-polynomial form
         terms = []
         for j, c in enumerate(a):
             if c == self.field.zero:

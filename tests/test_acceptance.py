@@ -12,7 +12,7 @@ from sympy import primerange
 
 from truncgrp import (AlgebraTable, GroupDesc, Mat, b_matrix, chu_sum,
                       compare_groups, conjugacy_classes, element_order,
-                      enumerate_group, kuelshammer_profile,
+                      enumerate_group, field_make, kuelshammer_profile,
                       oracle_profile, p_exponent, parse_matrix, ring_make,
                       unitriangular_power)
 
@@ -191,6 +191,19 @@ def test_ring_selftest_grid():
 # name, ok, mode and witness), as computed by the scalar self test that
 # walked every element in Python loops
 _GRID_REPORTS_SHA256 = "728cc1ed22263628e596b3864cbcbb227a7c907b44c3ab2071d817038bc83151"
+
+
+# sha256 of [p, f, modulus] for every field of the grid, in (p, f) order,
+# as chosen by the modulus scan when the irreducibility test still had its
+# own multiply, remainder and power loops
+_GRID_MODULI_SHA256 = "64e7ada81776a1fd3db9386db1d68ac368949c9b58606cf0952d75c96d43ce00"
+
+
+def test_field_moduli_pinned():
+    fields = sorted({(p, f) for p, f, _ in _selftest_grid()})
+    assert len(fields) == 81
+    blob = json.dumps([[p, f, list(field_make(p, f).modulus)] for p, f in fields]).encode()
+    assert hashlib.sha256(blob).hexdigest() == _GRID_MODULI_SHA256
 
 
 def test_ring_selftest_grid_reports_pinned():

@@ -91,6 +91,26 @@ def test_pow_matches_repeated_multiplication(rng):
         acc = acc * m
 
 
+def test_pow_multiplies_only_what_it_needs(monkeypatch, rng):
+    R = ring_make("witt", 3, 1, 2)
+    m = _rand_mat(R, 2, rng)
+    calls = [0]
+    mul = Mat.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    for e, expected in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (13, 5)):
+        calls[0] = 0
+        got = m ** e
+        assert calls[0] == expected, e
+        ref = Mat.identity(R, 2)
+        for _ in range(e):
+            ref = mul(ref, m)
+        assert got == ref, e
+
+
 def test_negative_power_is_inverse_power(rng):
     R = ring_make("witt", 5, 1, 2)
     g = GroupDesc("GL", 2, R)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,6 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Poly, symbols
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem, gf_strip
 
 from truncgrp import (NonUnitError, ParseError, field_make, parse_element,
                       ring_make)
@@ -474,3 +478,80 @@ def test_selftest_teichmuller_pairs_exact_beyond_int64(p, f, r):
     report = R.selftest(samples=5)
     assert report.ok, report.failures()
     assert _check(report, "teichmuller-multiplicative").mode == "exhaustive"
+
+
+# ---------------------------------------------------------------------------
+# the one multiply-mod-monic kernel (Fq.mul, Ring.mul and the irreducibility
+# test) against arithmetic written outside truncgrp
+
+def _gf(coeffs):
+    """Ascending coefficient tuple to a galoistools list (leading first)."""
+    return gf_strip([int(c) for c in reversed(coeffs)])
+
+
+def _from_gf(g, n):
+    """A galoistools list of degree < n to n ascending coefficients."""
+    return tuple(reversed(g)) + (0,) * (n - len(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), f=st.integers(1, 4), data=st.data())
+def test_fq_mul_matches_sympy_galoistools(p, f, data):
+    F = field_make(p, f)
+    elem = st.tuples(*[st.integers(0, p - 1)] * f)
+    a, b = data.draw(elem), data.draw(elem)
+    ref = gf_rem(gf_mul(_gf(a), _gf(b), p, ZZ), _gf(F.modulus), p, ZZ)
+    assert F.mul(a, b) == _from_gf(ref, f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducibility_matches_sympy_on_every_small_monic(p):
+    for f in (2, 3, 4):
+        for low in itertools.product(range(p), repeat=f):
+            m = low + (1,)
+            assert ringmod._is_irreducible(m, p) == gf_irreducible_p(_gf(m), p, ZZ), m
+
+
+def test_irreducibility_matches_sympy_without_the_root_screen():
+    # p > 1000 skips the linear-factor screen: every degree runs the powers
+    p, rng = 1009, random.Random(7)
+    verdicts = set()
+    for f in (2, 3):
+        for _ in range(60):
+            m = tuple(rng.randrange(p) for _ in range(f)) + (1,)
+            verdict = ringmod._is_irreducible(m, p)
+            assert verdict == gf_irreducible_p(_gf(m), p, ZZ), m
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+_X = symbols("x")
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), f=st.integers(2, 4), r=st.integers(1, 4),
+       data=st.data())
+def test_witt_mul_matches_integer_polynomial_remainder(p, f, r, data):
+    R = ring_make("witt", p, f, r)
+    elem = st.tuples(*[st.integers(0, R.pr - 1)] * f)
+    a, b = data.draw(elem), data.draw(elem)
+
+    def poly(c):
+        return Poly(list(reversed(c)), _X, domain=ZZ)
+    rem = (poly(a) * poly(b)).rem(poly(R.mhat)).all_coeffs()[::-1]
+    ref = tuple(int(c) % R.pr for c in rem) + (0,) * (f - len(rem))
+    assert R.mul(a, b) == ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), f=st.integers(1, 3), r=st.integers(1, 5),
+       data=st.data())
+def test_poly_mul_matches_schoolbook_over_fq(p, f, r, data):
+    R = ring_make("poly", p, f, r)
+    F = R.field
+    a, b = (R.from_index(data.draw(st.integers(0, R.size - 1))) for _ in range(2))
+    ref = [F.zero] * r
+    for i in range(r):
+        for j in range(r - i):
+            ref[i + j] = F.add(ref[i + j], F.mul(a[i], b[j]))
+    assert R.mul(a, b) == tuple(ref)
