@@ -1,17 +1,21 @@
 """Vectorized batch arithmetic for matrices over a truncated local ring.
 
-A ring element with coordinate vector a (w coordinates mod M, see
-``ring.Ring.coords``) is expanded to the w x w integer matrix of
-multiplication-by-a on the coordinate basis.  An n x n ring matrix then
-becomes an (n*w) x (n*w) integer block matrix, and because the
-expansion is a ring homomorphism, batched ``np.matmul`` followed by
-``% M`` multiplies whole arrays of group elements exactly.  The
-coordinate form is recovered from the first column of each block (the
-image of 1, which is the 0th basis vector).
+A matrix over the ring is held as a t-stack: an integer array of shape
+(..., L, m, m) with m = n*c.  For the poly kind F_q[t]/t^r, L = r and
+c = f: slice k is the F_q-block of the t^k coefficient matrix, each
+F_q entry expanded to its c x c multiplication matrix over F_p.  For the
+witt kind, L = 1 and c = f: the one slice is the matrix with each entry
+expanded to its f x f multiplication matrix over Z/p^r.  Either way the
+expansion is a ring homomorphism, so a product of stacks is the
+truncated convolution C_k = sum_{i+j=k} A_i @ B_j mod M: r(r+1)/2 small
+``np.matmul`` calls for poly, one for witt.  Stacks use the narrowest
+signed dtype that holds the sums, L*m*(M-1)^2.  Coordinates are read
+off the image-of-1 column of each c x c block.
 
 This module only moves arrays around; all structure constants are
-produced by the scalar layer in ``ring``, so the two layers cannot
-drift apart silently.
+produced by the scalar layer in ``ring``, and ``BatchRing`` checks that
+the ring's structure tensor is the truncated convolution of its t^0
+slice, so the two layers cannot drift apart silently.
 """
 
 from __future__ import annotations
@@ -24,6 +28,13 @@ def _min_uint_dtype(bound):
         if bound <= np.iinfo(dt).max:
             return dt
     raise OverflowError("coordinate modulus too large")
+
+
+def _min_int_dtype(bound):
+    for dt in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dt).max:
+            return dt
+    raise OverflowError("block products would overflow int64")
 
 
 def tensor_from_mul(mul, basis, coords) -> np.ndarray:
@@ -39,7 +50,7 @@ def tensor_from_mul(mul, basis, coords) -> np.ndarray:
 
 def products_fit_int64(w, M) -> bool:
     """Whether sums of w products of residues mod M stay inside int64,
-    as every partial sum of ``tensor_mul`` and of block matmuls must."""
+    as every partial sum of ``tensor_mul`` must."""
     return w * (M - 1) ** 2 < 2 ** 63
 
 
@@ -69,6 +80,17 @@ def square_and_multiply(mul, a, e: int):
     return result
 
 
+def _convolution_tensor(T0, L):
+    """(L*c, L*c, L*c) structure tensor of (R[t]/t^L) from the (c, c, c)
+    tensor T0 of R, on the basis t^k e_a (index k*c + a)."""
+    c = len(T0)
+    T = np.zeros((L, c, L, c, L, c), dtype=np.int64)
+    for i in range(L):
+        for j in range(L - i):
+            T[i, :, j, :, i + j] = T0
+    return T.reshape(L * c, L * c, L * c)
+
+
 class BatchRing:
     _cache = {}
 
@@ -85,11 +107,17 @@ class BatchRing:
         self.w = ring.w
         self.M = ring.coord_mod
         self.coord_dtype = _min_uint_dtype(self.M - 1)
-        w = self.w
+        # t-stack slices: L coefficients of c coordinates each
+        self.c = ring.f
+        self.L = self.w // self.c
         # structure tensor of ring.mul: e_i * e_j = sum_k T[i, j, k] e_k
         self.T = ring.structure_tensor()
+        self.T0 = self.T[:self.c, :self.c, :self.c]
+        if not np.array_equal(self.T, _convolution_tensor(self.T0, self.L)):
+            raise ArithmeticError(f"{ring!r}: multiplication is not a truncated "
+                                  "convolution of its t^0 coefficients")
         # ring operations on (..., w) coordinate vectors, named as on ring.Ring
-        self.zero = np.zeros(w, dtype=np.int64)
+        self.zero = np.zeros(self.w, dtype=np.int64)
         self.one = np.array(ring.coords(ring.one), dtype=np.int64)
 
     def add(self, a, b):
@@ -101,50 +129,69 @@ class BatchRing:
     def mul(self, a, b):
         return tensor_mul(self.T, self.M, a, b)
 
-    # -- block packing -------------------------------------------------------
+    # -- t-stack packing -------------------------------------------------------
 
     def regrep(self, coords: np.ndarray) -> np.ndarray:
         """(..., w) coordinate vectors to (..., w, w) multiplication matrices."""
         return _regrep(self.T, self.M, coords)
 
+    def _dtype(self, n):
+        """Narrowest signed dtype for n x n stacks: an entry of a product
+        sums at most L*m products of residues mod M, m = n*c."""
+        return _min_int_dtype(self.L * n * self.c * (self.M - 1) ** 2)
+
+    def identity(self, n: int) -> np.ndarray:
+        """The (L, m, m) t-stack of the n x n identity: [I, 0, ..., 0]."""
+        m = n * self.c
+        ident = np.zeros((self.L, m, m), dtype=self._dtype(n))
+        ident[0] = np.eye(m, dtype=ident.dtype)
+        return ident
+
     def block(self, mats: np.ndarray) -> np.ndarray:
-        """(..., n, n, w) coordinate matrices to (..., n*w, n*w) blocks."""
-        m = np.asarray(mats, dtype=np.int64)
-        n = m.shape[-2]
-        rep = self.regrep(m)  # (..., n, n, w, w) = (row, col, rep-row, rep-col)
-        rep = np.moveaxis(rep, -3, -2)  # (..., n, w, n, w)
-        shape = rep.shape[:-4] + (n * self.w, n * self.w)
-        blk = rep.reshape(shape)
-        if not products_fit_int64(n * self.w, self.M):
-            raise OverflowError("block products would overflow int64")
-        return blk
+        """(..., n, n, w) coordinate matrices to (..., L, n*c, n*c) t-stacks."""
+        a = np.asarray(mats, dtype=np.int64)
+        n, L, c = a.shape[-2], self.L, self.c
+        dtype = self._dtype(n)
+        a = a.reshape(a.shape[:-1] + (L, c))
+        rep = _regrep(self.T0, self.M, a)  # (..., n, n, L, c, c) = (row, col, t, rep-row, rep-col)
+        rep = np.moveaxis(rep, -3, -5).swapaxes(-3, -2)  # (..., L, n, c, n, c)
+        return rep.reshape(rep.shape[:-4] + (n * c, n * c)).astype(dtype)
 
     def unblock(self, blocks: np.ndarray, n: int) -> np.ndarray:
-        """Inverse of ``block``: read coordinates off the image-of-1 columns."""
+        """Inverse of ``block``: (..., n, n, w) int64 coordinates, read off
+        the image-of-1 column of each c x c block.  Stacks from ``block``,
+        ``matmul`` and ``matpow`` are reduced mod M, so this only copies."""
         b = np.asarray(blocks)
-        w = self.w
-        shape = b.shape[:-2] + (n, w, n, w)
-        rep = b.reshape(shape)
-        coords = rep[..., :, :, :, 0]  # (..., n, w, n): image-of-1 column per block
-        return coords.swapaxes(-1, -2) % self.M  # (..., n, n, w)
+        L, c = self.L, self.c
+        coords = b.reshape(b.shape[:-3] + (L, n, c, n, c))[..., 0]  # (..., L, n, c, n)
+        coords = np.moveaxis(coords, (-4, -3, -2, -1), (-2, -4, -1, -3))  # (..., n, n, L, c)
+        return coords.astype(np.int64).reshape(coords.shape[:-2] + (self.w,))
 
     # -- batched operations ----------------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.matmul(a, b) % self.M
+        """Products of t-stacks, broadcast over the leading axes: the
+        truncated convolution C_k = sum_{i+j=k} A_i @ B_j mod M."""
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+        for k in range(self.L):
+            ck = out[..., k, :, :]
+            np.matmul(a[..., 0, :, :], b[..., k, :, :], out=ck)
+            for i in range(1, k + 1):
+                ck += np.matmul(a[..., i, :, :], b[..., k - i, :, :])
+        out %= self.M
+        return out
 
     def matpow(self, blocks: np.ndarray, e: int) -> np.ndarray:
         if e < 0:
             raise ValueError("negative exponent")
         if e == 0:
-            n = blocks.shape[-1]
-            return np.broadcast_to(np.eye(n, dtype=np.int64), blocks.shape).copy()
+            ident = self.identity(blocks.shape[-1] // self.c)
+            return np.broadcast_to(ident, blocks.shape).copy()
         return square_and_multiply(self.matmul, blocks % self.M, e)
 
     def is_identity(self, blocks: np.ndarray) -> np.ndarray:
-        n = blocks.shape[-1]
-        eye = np.eye(n, dtype=np.int64)
-        return np.all(blocks == eye, axis=(-1, -2))
+        ident = self.identity(blocks.shape[-1] // self.c)
+        return np.all(blocks == ident, axis=(-3, -2, -1))
 
     # -- canonical integer keys --------------------------------------------------
 

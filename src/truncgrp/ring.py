@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -690,6 +691,10 @@ class Ring:
             raise ValueError(f"need {self.w} coordinates")
         if any(not 0 <= c < self.coord_mod for c in coords):
             raise ValueError("coordinate out of range")
+        return self._from_flat(coords)
+
+    def _from_flat(self, coords: tuple):
+        """The element with these (valid) flat coordinates."""
         if self.kind == WITT:
             return coords
         f = self.f
@@ -702,11 +707,15 @@ class Ring:
         return k
 
     def from_index(self, k: int):
+        k = operator.index(k)
+        if not 0 <= k < self.size:
+            raise ValueError(f"index {k} out of range for {self.label}")
+        M = self.coord_mod
         coords = []
         for _ in range(self.w):
-            coords.append(k % self.coord_mod)
-            k //= self.coord_mod
-        return self.from_coords(coords)
+            k, c = divmod(k, M)
+            coords.append(c)
+        return self._from_flat(tuple(coords))
 
     def elements(self):
         # index order: coordinate 0 varies fastest

@@ -1,9 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncgrp import Mat, mat_coords, mat_from_coords, ring_make
+from truncgrp import ring as ringmod
 from truncgrp.batch import BatchRing
 
 
@@ -118,7 +122,105 @@ def test_matpow_multiplies_only_what_it_needs(monkeypatch, rng):
         calls[0] = 0
         got = br.matpow(blocks, e)
         assert calls[0] == expected, e
-        ref = np.broadcast_to(np.eye(blocks.shape[-1], dtype=np.int64), blocks.shape)
+        ref = np.broadcast_to(br.identity(2), blocks.shape)
         for _ in range(e):
             ref = matmul(br, ref, blocks)
         assert np.array_equal(got, ref), e
+
+
+# -- scalar vs batch properties ---------------------------------------------
+
+def _fits_encode(kind, p, f, r, n):
+    R = ring_make(kind, p, f, r)
+    return n * n * R.w * math.log2(R.coord_mod) <= 62
+
+
+# both kinds, p in 2, 3, 5, f = 1-3, r = 1-4, n = 1-3, within the encode limit
+_SHAPES = [s for s in itertools.product(("witt", "poly"), (2, 3, 5), (1, 2, 3),
+                                        (1, 2, 3, 4), (1, 2, 3))
+           if _fits_encode(*s)]
+
+
+def _draw_mats(data, R, n, count):
+    entry = st.integers(0, R.size - 1).map(R.from_index)
+    row = st.lists(entry, min_size=n, max_size=n)
+    mats = st.lists(row, min_size=n, max_size=n).map(lambda rows: Mat(R, rows))
+    return data.draw(st.lists(mats, min_size=1, max_size=count))
+
+
+def _to_mats(R, coords):
+    return [mat_from_coords(R, c) for c in coords]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.sampled_from(_SHAPES), data=st.data())
+def test_matmul_and_roundtrip_agree_with_scalar(shape, data):
+    kind, p, f, r, n = shape
+    R = ring_make(kind, p, f, r)
+    br = BatchRing.get(R)
+    a = _draw_mats(data, R, n, 4)
+    b = _draw_mats(data, R, n, 1) * len(a)
+    ca = np.array([mat_coords(m) for m in a])
+    cb = np.array([mat_coords(m) for m in b])
+    assert np.array_equal(br.unblock(br.block(ca), n), ca)
+    prods = br.unblock(br.matmul(br.block(ca), br.block(cb)), n)
+    assert _to_mats(R, prods) == [x * y for x, y in zip(a, b)]
+    # one right-hand factor broadcast over the stack, as in the BFS
+    prods = br.unblock(br.matmul(br.block(ca), br.block(cb[0])), n)
+    assert _to_mats(R, prods) == [x * b[0] for x in a]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(_SHAPES), data=st.data())
+def test_matpow_and_is_identity_agree_with_scalar(shape, data):
+    kind, p, f, r, n = shape
+    R = ring_make(kind, p, f, r)
+    br = BatchRing.get(R)
+    ident = Mat.identity(R, n)
+    mats = [ident] + _draw_mats(data, R, n, 3)
+    e = data.draw(st.integers(0, p * p + 1))
+    blocks = br.block(np.array([mat_coords(m) for m in mats]))
+    powed = br.matpow(blocks, e)
+    assert _to_mats(R, br.unblock(powed, n)) == [m ** e for m in mats]
+    assert br.is_identity(powed).tolist() == [(m ** e).is_identity() for m in mats]
+    assert br.is_identity(blocks).tolist() == [m.is_identity() for m in mats]
+
+
+@pytest.mark.parametrize("kind, p, r, n, dtype", [
+    ("poly", 3, 3, 2, np.int8),     # 3 * 2 * 2^2 = 24
+    ("poly", 5, 4, 2, np.int16),    # 4 * 2 * 4^2 = 128, one past int8
+    ("witt", 2, 8, 2, np.int32),    # 2 * 255^2 = 130050
+    ("witt", 2, 16, 2, np.int64),   # 2 * 65535^2 > 2^31
+])
+def test_stack_dtype_is_narrowest_that_holds_the_sums(kind, p, r, n, dtype, rng):
+    R = ring_make(kind, p, 1, r)
+    br = BatchRing.get(R)
+    # every coordinate M - 1 makes each sum of the top slice as large as it can be
+    top = R.from_coords([R.coord_mod - 1] * R.w)
+    mats = [Mat(R, [[top] * n] * n)] + [_rand_mat(R, n, rng) for _ in range(4)]
+    blocks = br.block(np.array([mat_coords(m) for m in mats]))
+    assert blocks.dtype == dtype
+    prods = br.unblock(br.matmul(blocks, blocks[0]), n)
+    assert _to_mats(R, prods) == [x * mats[0] for x in mats]
+
+
+def _product_to(R, a, b, k):
+    """R's structure tensor with basis[a] * basis[b] moved to coordinate k."""
+    T = R.structure_tensor()
+    T[a, b] = 0
+    T[a, b, k] = 1
+    return T
+
+
+@pytest.mark.parametrize("p, f, r, a, b, k", [
+    (3, 1, 3, 1, 1, 1),   # t * t = t
+    (2, 1, 2, 1, 1, 0),   # t * t = 1: wraps past t^r
+    (2, 2, 2, 2, 3, 3),   # t * tx = tx: x-component in the wrong t-degree
+])
+def test_batchring_rejects_a_tensor_that_is_no_truncated_convolution(
+        monkeypatch, p, f, r, a, b, k):
+    R = ringmod.Ring("poly", p, f, r)
+    T = _product_to(R, a, b, k)
+    monkeypatch.setattr(R, "structure_tensor", lambda: T.copy())
+    with pytest.raises(ArithmeticError):
+        BatchRing(R)

@@ -334,13 +334,21 @@ def test_cache_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch)
     assert [q.name for q in tmp_path.iterdir()] == ["x.kkg"]
 
 
-@pytest.mark.parametrize("fam, kind, sha256", [
-    ("GL", "poly", "aa9612968b92309b7ba25f81f5d242c8255cc05116f75aa2fb0ee8c9be06d521"),
-    ("SL", "witt", "1cc2f86ea55a95016858bd4918e1b653f8172252afd2356017983025442bdded"),
-])
-def test_cache_bytes_pinned(tmp_path, fam, kind, sha256):
-    # digests of the files a plain write_bytes produced before the rename
-    _, _, part = _pipeline(fam, 2, kind, 2, 1, 2)
+_CACHE_DIGESTS = [
+    ("GL", "poly", 2, 1, 2, "aa9612968b92309b7ba25f81f5d242c8255cc05116f75aa2fb0ee8c9be06d521"),
+    ("SL", "witt", 2, 1, 2, "1cc2f86ea55a95016858bd4918e1b653f8172252afd2356017983025442bdded"),
+    # several t-slices and several coordinates per slice (F_4[t]/t^2, F_3[t]/t^3)
+    ("GL", "poly", 2, 2, 2, "10aec036796f1cc92c38d5cde7cf154db94b49d0e9d18bc035acc9fbefbfde5b"),
+    ("SL", "poly", 3, 1, 3, "c75650b832953df4289542e1e1b688ef81d22f3e94bc332f583debcfde634ea5"),
+]
+
+
+@pytest.mark.parametrize("fam, kind, p, f, r, sha256", _CACHE_DIGESTS,
+                         ids=[f"{c[0]}-{c[1]}-{c[-1]}" for c in _CACHE_DIGESTS])
+def test_cache_bytes_pinned(tmp_path, fam, kind, p, f, r, sha256):
+    # digests of files written by earlier code: a plain write_bytes before
+    # the rename (first two), the dense-block batch arithmetic (last two)
+    _, _, part = _pipeline(fam, 2, kind, p, f, r)
     path = tmp_path / "x.kkg"
     save_cache(path, part)
     save_cache(path, part)  # replaces an existing file

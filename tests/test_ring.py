@@ -233,6 +233,15 @@ def test_index_and_coords_roundtrip():
             assert R.from_coords(R.coords(a)) == a
 
 
+@pytest.mark.parametrize("kind, p, f, r", [("poly", 3, 1, 2), ("witt", 3, 1, 2), ("poly", 2, 2, 2)])
+def test_from_index_rejects_out_of_range(kind, p, f, r):
+    R = ring_make(kind, p, f, r)
+    assert R.from_index(R.size - 1) == R.from_coords([R.coord_mod - 1] * R.w)
+    for k in (R.size, R.size + 1, -1):
+        with pytest.raises(ValueError):
+            R.from_index(k)
+
+
 def test_encode_decode_roundtrip(rng):
     for kind, p, f, r in [("witt", 251, 1, 2), ("poly", 7, 2, 2)]:
         R = ring_make(kind, p, f, r)
