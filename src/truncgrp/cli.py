@@ -142,15 +142,12 @@ def _add_group_args(sub):
     _add_ring_args(sub)
 
 
-def _small_ring_grid(limit=10_000):
-    grid = []
-    for kind in (ringmod.WITT, ringmod.POLY):
-        for p in (2, 3, 5, 7):
-            for f in (1, 2):
-                for r in (1, 2, 3):
-                    if p ** (f * r) <= limit:
-                        grid.append((kind, p, f, r))
-    return grid
+# (kind, p, f, r) with p^(fr) <= 10^4, for `ring selftest --all-small`
+# and `verify rings`
+_SMALL_RING_GRID = [(kind, p, f, r)
+                    for kind in (ringmod.WITT, ringmod.POLY)
+                    for p in (2, 3, 5, 7) for f in (1, 2) for r in (1, 2, 3)
+                    if p ** (f * r) <= 10_000]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +157,7 @@ def cmd_ring(args):
     if args.action != "selftest":
         raise ParseError(f"unknown ring action {args.action!r}", 0)
     if args.all_small:
-        params = [(k, p, f, r) for (k, p, f, r) in _small_ring_grid()]
+        params = _SMALL_RING_GRID
     else:
         if args.kind is None or args.p is None:
             raise ParseError("selftest needs --kind and -p (or --all-small)", 0)
@@ -273,18 +270,18 @@ def cmd_verify(args):
 # verification checks
 
 def _check_rings(ctx):
-    grid = _small_ring_grid()
     failures = []
-    for kind, p, f, r in grid:
+    for kind, p, f, r in _SMALL_RING_GRID:
         rep = ringmod.ring_make(kind, p, f, r).selftest(seed=ctx.seed)
         if not rep.ok:
             failures.append({"ring": rep.ring_label,
                              "failed": [c.name for c in rep.failures()]})
-    return {"ok": not failures, "rings_checked": len(grid),
+    return {"ok": not failures, "rings_checked": len(_SMALL_RING_GRID),
             "failures": failures}
 
 
-def _check_lemma_chu(ctx, pmax=23):
+def _check_lemma_chu(ctx):
+    pmax = 23
     bad = []
     in_regime = 0
     for p in [q for q in range(2, pmax + 1) if ringmod._is_prime(q)]:

@@ -615,6 +615,8 @@ def p_exponent(group: GroupDesc, strategy: str = "exhaustive", trials: int = 100
     if strategy == "exhaustive":
         chunks = _sylow_chunks(group, cap)
     elif strategy == "sampled":
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
         digits = _sampled_digits(group, trials, seed)
         chunks = [_sylow_coords(group, *_sylow_tables(R), digits)]
         note += f"; lower bound from {trials} samples"

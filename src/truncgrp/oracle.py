@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups as groupsmod
+from .batch import square_and_multiply
 from .errors import CapExceededError
 
 ORACLE_CAP = 300
@@ -82,25 +83,16 @@ def alg_mul(A: AlgebraTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def alg_pow(A: AlgebraTable, x: np.ndarray, e: int) -> np.ndarray:
-    result = np.zeros(A.dim, dtype=np.int64)
-    result[0] = 1
-    base = np.asarray(x, dtype=np.int64) % A.p
-    while e:
-        if e & 1:
-            result = alg_mul(A, result, base)
-        base = alg_mul(A, base, base)
-        e >>= 1
-    return result
+    if e < 0:
+        raise ValueError("negative exponent")
+    if e == 0:  # e_0, the identity of the algebra
+        return np.eye(1, A.dim, dtype=np.int64)[0]
+    return square_and_multiply(lambda a, b: alg_mul(A, a, b),
+                               np.asarray(x, dtype=np.int64) % A.p, e)
 
 
 def _id_pow(A: AlgebraTable, g: int, e: int) -> int:
-    result, base = 0, g
-    while e:
-        if e & 1:
-            result = int(A.mult[result, base])
-        base = int(A.mult[base, base])
-        e >>= 1
-    return result
+    return square_and_multiply(lambda a, b: int(A.mult[a, b]), g, e) if e else 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """End-to-end checks, one per headline claim, each with a pinned wall-clock
-budget.  Every numeric constant asserted here was computed independently
-(brute force or by hand) before being frozen into the test."""
+budget.  The claims themselves are the `truncgrp verify` checks
+(`cli.CHECKS`); this file runs every one of them and pins their payloads.
+Every numeric constant asserted here was computed independently (brute
+force or by hand) before being frozen into the test."""
 
 import contextlib
 import hashlib
 import json
-import random
 import time
 
+import pytest
 from sympy import primerange
 
-from truncgrp import (AlgebraTable, GroupDesc, Mat, b_matrix, chu_sum,
-                      compare_groups, conjugacy_classes, element_order,
+from truncgrp import (GroupDesc, conjugacy_classes, element_order,
                       enumerate_group, field_make, kuelshammer_profile,
-                      oracle_profile, p_exponent, parse_matrix, ring_make,
-                      unitriangular_power)
+                      p_exponent, ring_make)
+from truncgrp.cli import CHECKS, main
 
 
 @contextlib.contextmanager
@@ -32,15 +33,82 @@ def criterion(name, bound_s):
     assert elapsed <= bound_s, f"{name} took {elapsed:.2f}s (> {bound_s}s)"
 
 
-def test_witness_matrix_has_order_25():
-    with criterion("order-witness", 1.0):
-        R = ring_make("poly", 5, 1, 2)
-        g = parse_matrix(R, "1,1,0;t,1,1;t,0,1")
-        grp = GroupDesc("SL", 3, R)
-        assert grp.contains(g)
-        assert element_order(g, grp) == 25
-        assert not (g ** 5).is_identity()
-        assert (g ** 25).is_identity()
+def _order_witness(res):
+    # 1,1,0;t,1,1;t,0,1 in SL_3(F_5[t]/t^2)
+    assert res["order"] == 25
+
+
+def _compare_pair(res):
+    # GL_2(Z/27) against GL_2(F_3[t]/t^3)
+    rep = res["report"]
+    assert rep["order"] == 314928
+    assert rep["verdict"] == "DISTINGUISHED"
+    assert rep["in_proven_regime"] is True
+    assert rep["classes_a"] == rep["classes_b"] == 720
+    assert rep["profile_a"]["dims"] == [720, 72, 8, 6]
+    assert rep["profile_b"]["dims"] == [720, 12, 6]
+    assert rep["profile_a"]["p_exponent"] == rep["sylow_exponent_a"] == 27
+    assert rep["profile_b"]["p_exponent"] == rep["sylow_exponent_b"] == 9
+
+
+def _lemma_chu(res):
+    # every prime p <= 23 and n <= p // 2: sum of n^2 over those (p, n)
+    assert res["pmax"] == 23
+    assert res["cases_in_range"] == 1162
+
+
+def _lemma_power(res):
+    # 50 trials for each of n = 2, 3 and each of the two rings
+    assert res["trials"] == 200
+    assert res["rings"] == ["F_5[t]/t^2", "Z/25"]
+
+
+def _lemma_bmatrix(res):
+    assert res["vanish_trials"] == 100
+
+
+def _oracle(res):
+    names = {row["name"] for row in res["groups"]}
+    assert {"C4", "S3", "SL2F2", "SL2Z4", "SL2F2T2"} <= names
+
+
+def _lemma_expstep(res):
+    # exhaustive Sylow walks of GL_2 and SL_2, both kinds, p = 2, 3, r = 1, 2, 3
+    cases = sorted((c["family"], c["kind"], c["p"], *c["exponents"]) for c in res["cases"])
+    assert cases == sorted((family, kind, p, "1", "2", "3") for family in ("GL", "SL")
+                           for kind in ("witt", "poly") for p in (2, 3))
+
+
+# check name -> (wall-clock budget in seconds, assertions on its payload)
+ACCEPTANCE = {
+    "order-witness": (1.0, _order_witness),
+    "compare-pair": (600.0, _compare_pair),
+    "lemma-chu": (1.0, _lemma_chu),
+    "lemma-power": (5.0, _lemma_power),
+    "lemma-bmatrix": (5.0, _lemma_bmatrix),
+    "oracle": (30.0, _oracle),
+    "lemma-expstep": (60.0, _lemma_expstep),
+}
+
+
+def test_acceptance_table_names_are_checks():
+    assert set(ACCEPTANCE) <= set(CHECKS)
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_verify_check(name, monkeypatch, capsys):
+    monkeypatch.delenv("TRUNCGRP_CACHE_DIR", raising=False)
+    budget, pins = ACCEPTANCE.get(name, (None, None))
+    with criterion(name, budget) if budget else contextlib.nullcontext():
+        rc = main(["--format", "json", "--canonical", "verify", name])
+        out = capsys.readouterr().out
+    results = json.loads(out)["results"]
+    assert rc == 0
+    assert results["ok"] is True
+    res = results["checks"][name]
+    assert res["ok"] is True
+    if pins:
+        pins(res)
 
 
 def test_r2_p5_exponent_gap():
@@ -75,84 +143,6 @@ def test_r4_p2_exponent_gap_strict():
         assert rp.value < rw.value  # strict
 
 
-def test_r3_p3_full_comparison_distinguishes():
-    with criterion("r3-p3-comparison", 600.0):
-        a = GroupDesc("GL", 2, ring_make("witt", 3, 1, 3))
-        b = GroupDesc("GL", 2, ring_make("poly", 3, 1, 3))
-        assert a.order() == b.order() == 314928
-        rep = compare_groups(a, b)
-        assert rep.verdict == "DISTINGUISHED"
-        assert rep.in_proven_regime
-        assert rep.classes_a == rep.classes_b == 720
-        assert rep.profile_a.dims == (720, 72, 8, 6)
-        assert rep.profile_b.dims == (720, 12, 6)
-        assert rep.profile_a.p_exponent == 27
-        assert rep.profile_b.p_exponent == 9
-        # exhaustive Sylow exponents were computed and agreed (compare_groups
-        # raises on any mismatch with the profile-derived values)
-        assert rep.sylow_exponent_a == 27
-        assert rep.sylow_exponent_b == 9
-
-
-def test_binomial_double_sum_vanishes():
-    with criterion("binomial-double-sum", 1.0):
-        for p in (5, 7, 11, 13, 17, 19, 23):
-            n = p // 2  # largest n with p >= 2n
-            for k in range(n):
-                for ell in range(n):
-                    assert chu_sum(p, k, ell) == 0, (p, k, ell)
-
-
-def test_length_two_power_identities():
-    with criterion("length-two-powers", 5.0):
-        rng = random.Random(20240915)
-        for kind in ("poly", "witt"):
-            R = ring_make(kind, 5, 1, 2)
-            ident = Mat.identity(R, 2)
-            for _ in range(100):
-                A = ident.with_entry(0, 1, R.rand(rng))
-                X = Mat(R, [[R.rand(rng) for _ in range(2)] for _ in range(2)])
-                B = b_matrix(A, X)
-                assert B.reduce_to(1).is_zero()
-                g = A * (ident + X.scale(R.pi))
-                for m in (0, 1, 2, 5, 7, 10):
-                    assert g ** m == unitriangular_power(A, X, m)
-                assert g ** 5 == (A ** 5) + B.scale(R.pi)
-
-
-def test_oracle_agreement_small_groups():
-    with criterion("oracle-agreement", 30.0):
-        cases = [
-            ("GL", 1, "witt", 5, 1, 1, 2),   # C_4, the unit group of F_5
-            ("SL", 2, "witt", 2, 1, 1, 3),   # S_3 at p = 3
-            ("SL", 2, "witt", 2, 1, 1, 2),   # S_3 at p = 2
-            ("SL", 2, "witt", 2, 1, 2, 2),   # SL_2(Z/4)
-            ("SL", 2, "poly", 2, 1, 2, 2),   # SL_2(F_2[t]/t^2)
-        ]
-        for fam, n, kind, p, f, r, prof_p in cases:
-            grp = GroupDesc(fam, n, ring_make(kind, p, f, r))
-            table = enumerate_group(grp)
-            part = conjugacy_classes(table)
-            A = AlgebraTable.from_element_table(table, prof_p)
-            rep = oracle_profile(A, part, prof_p)
-            assert rep.ok, (grp.label, rep)
-            assert rep.dims_linalg == rep.dims_classes
-            assert rep.chain_ok and rep.dual_rank_ok and rep.terminal_ok
-
-
-def test_exponent_step_inequality():
-    with criterion("exponent-step", 60.0):
-        for kind in ("witt", "poly"):
-            for p in (2, 3):
-                values = {}
-                for r in (1, 2, 3):
-                    grp = GroupDesc("GL", 2, ring_make(kind, p, 1, r))
-                    res = p_exponent(grp, strategy="exhaustive")
-                    values[r] = res.value
-                for r in (2, 3):
-                    assert values[r] <= p * values[r - 1], (kind, p, r, values)
-
-
 def _selftest_grid():
     # every (kind, p, f, r) with p^(rf) <= 10^4 over the primes that admit
     # a non-trivial truncation (p <= 97, i.e. p^2 <= 10^4), plus a spread
@@ -169,22 +159,6 @@ def _selftest_grid():
     assert len(triples) == 146
     return triples + [(101, 1, 1), (499, 1, 1), (1009, 1, 1), (4999, 1, 1),
                       (9973, 1, 1)]
-
-
-def test_ring_selftest_grid():
-    with criterion("ring-selftest-grid", 30.0):
-        triples = _selftest_grid()
-        for p, f, r in triples:
-            for kind in ("witt", "poly"):
-                ring = ring_make(kind, p, f, r)
-                # the two kinds differ exactly in additive characteristic
-                assert ring.characteristic == (p ** r if kind == "witt" else p)
-                rep = ring.selftest(seed=0)
-                assert rep.ok, (kind, p, f, r, rep.failures())
-                names = {c.name for c in rep.checks}
-                assert "characteristic" in names
-                assert "teichmuller-multiplicative" in names
-                assert "teichmuller-fixed" in names
 
 
 # sha256 of every grid SelfTestReport (label, kind, p, f, r and each check's
@@ -208,11 +182,20 @@ def test_field_moduli_pinned():
 
 def test_ring_selftest_grid_reports_pinned():
     for seed in (0, 1):
-        reports = []
-        for p, f, r in _selftest_grid():
-            for kind in ("witt", "poly"):
-                rep = ring_make(kind, p, f, r).selftest(seed=seed)
-                reports.append([rep.ring_label, rep.kind, rep.p, rep.f, rep.r,
-                                [[c.name, c.ok, c.mode, c.witness] for c in rep.checks]])
-        blob = json.dumps(reports, sort_keys=True).encode()
-        assert hashlib.sha256(blob).hexdigest() == _GRID_REPORTS_SHA256, seed
+        budget = (criterion("ring-selftest-grid", 30.0) if seed == 0
+                  else contextlib.nullcontext())
+        with budget:
+            reports = []
+            for p, f, r in _selftest_grid():
+                for kind in ("witt", "poly"):
+                    ring = ring_make(kind, p, f, r)
+                    # the two kinds differ exactly in additive characteristic
+                    assert ring.characteristic == (p ** r if kind == "witt" else p)
+                    rep = ring.selftest(seed=seed)
+                    assert rep.ok, (kind, p, f, r, rep.failures())
+                    assert {"characteristic", "teichmuller-multiplicative",
+                            "teichmuller-fixed"} <= {c.name for c in rep.checks}
+                    reports.append([rep.ring_label, rep.kind, rep.p, rep.f, rep.r,
+                                    [[c.name, c.ok, c.mode, c.witness] for c in rep.checks]])
+            blob = json.dumps(reports, sort_keys=True).encode()
+            assert hashlib.sha256(blob).hexdigest() == _GRID_REPORTS_SHA256, seed

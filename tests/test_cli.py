@@ -111,6 +111,14 @@ def test_exponent_command_strategies(capsys):
     assert isinstance(samp["results"]["witness"], str)
 
 
+def test_exponent_sampled_without_trials_exits_2(capsys):
+    base = ["exponent", "--family", "SL", "-n", "2", "--kind", "witt", "-p",
+            "2", "-r", "2", "--strategy", "sampled", "--trials"]
+    for trials in ("0", "-3"):
+        assert main(base + [trials]) == 2
+        assert "error: trials must be >= 1" in capsys.readouterr().err
+
+
 def test_classes_command_lists_sizes(capsys):
     rc = main(["--format", "json", "classes", "--family", "SL", "-n", "2",
                "--kind", "witt", "-p", "2", "-r", "2"])
