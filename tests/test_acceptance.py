@@ -12,9 +12,10 @@ import time
 import pytest
 from sympy import primerange
 
-from truncgrp import (GroupDesc, conjugacy_classes, element_order,
-                      enumerate_group, field_make, kuelshammer_profile,
-                      p_exponent, ring_make)
+from truncgrp import (AlgebraTable, GroupDesc, chu_sum, conjugacy_classes,
+                      element_order, enumerate_group, field_make,
+                      kuelshammer_profile, oracle_profile, p_exponent,
+                      ring_make)
 from truncgrp.cli import CHECKS, main
 
 
@@ -143,6 +144,35 @@ def test_r4_p2_exponent_gap_strict():
         assert rp.value < rw.value  # strict
 
 
+def test_binomial_double_sum_vanishes():
+    with criterion("binomial-double-sum", 1.0):
+        for p in (5, 7, 11, 13, 17, 19, 23):
+            n = p // 2  # largest n with p >= 2n
+            for k in range(n):
+                for ell in range(n):
+                    assert chu_sum(p, k, ell) == 0, (p, k, ell)
+
+
+def test_oracle_agreement_small_groups():
+    with criterion("oracle-agreement", 30.0):
+        cases = [
+            ("GL", 1, "witt", 5, 1, 1, 2),   # C_4, the unit group of F_5
+            ("SL", 2, "witt", 2, 1, 1, 3),   # S_3 at p = 3
+            ("SL", 2, "witt", 2, 1, 1, 2),   # S_3 at p = 2
+            ("SL", 2, "witt", 2, 1, 2, 2),   # SL_2(Z/4)
+            ("SL", 2, "poly", 2, 1, 2, 2),   # SL_2(F_2[t]/t^2)
+        ]
+        for fam, n, kind, p, f, r, prof_p in cases:
+            grp = GroupDesc(fam, n, ring_make(kind, p, f, r))
+            table = enumerate_group(grp)
+            part = conjugacy_classes(table)
+            A = AlgebraTable.from_element_table(table, prof_p)
+            rep = oracle_profile(A, part, prof_p)
+            assert rep.ok, (grp.label, rep)
+            assert rep.dims_linalg == rep.dims_classes
+            assert rep.chain_ok and rep.dual_rank_ok and rep.terminal_ok
+
+
 def _selftest_grid():
     # every (kind, p, f, r) with p^(rf) <= 10^4 over the primes that admit
     # a non-trivial truncation (p <= 97, i.e. p^2 <= 10^4), plus a spread
@@ -159,6 +189,22 @@ def _selftest_grid():
     assert len(triples) == 146
     return triples + [(101, 1, 1), (499, 1, 1), (1009, 1, 1), (4999, 1, 1),
                       (9973, 1, 1)]
+
+
+def test_ring_selftest_grid():
+    with criterion("ring-selftest-grid", 30.0):
+        triples = _selftest_grid()
+        for p, f, r in triples:
+            for kind in ("witt", "poly"):
+                ring = ring_make(kind, p, f, r)
+                # the two kinds differ exactly in additive characteristic
+                assert ring.characteristic == (p ** r if kind == "witt" else p)
+                rep = ring.selftest(seed=0)
+                assert rep.ok, (kind, p, f, r, rep.failures())
+                names = {c.name for c in rep.checks}
+                assert "characteristic" in names
+                assert "teichmuller-multiplicative" in names
+                assert "teichmuller-fixed" in names
 
 
 # sha256 of every grid SelfTestReport (label, kind, p, f, r and each check's
@@ -182,20 +228,11 @@ def test_field_moduli_pinned():
 
 def test_ring_selftest_grid_reports_pinned():
     for seed in (0, 1):
-        budget = (criterion("ring-selftest-grid", 30.0) if seed == 0
-                  else contextlib.nullcontext())
-        with budget:
-            reports = []
-            for p, f, r in _selftest_grid():
-                for kind in ("witt", "poly"):
-                    ring = ring_make(kind, p, f, r)
-                    # the two kinds differ exactly in additive characteristic
-                    assert ring.characteristic == (p ** r if kind == "witt" else p)
-                    rep = ring.selftest(seed=seed)
-                    assert rep.ok, (kind, p, f, r, rep.failures())
-                    assert {"characteristic", "teichmuller-multiplicative",
-                            "teichmuller-fixed"} <= {c.name for c in rep.checks}
-                    reports.append([rep.ring_label, rep.kind, rep.p, rep.f, rep.r,
-                                    [[c.name, c.ok, c.mode, c.witness] for c in rep.checks]])
-            blob = json.dumps(reports, sort_keys=True).encode()
-            assert hashlib.sha256(blob).hexdigest() == _GRID_REPORTS_SHA256, seed
+        reports = []
+        for p, f, r in _selftest_grid():
+            for kind in ("witt", "poly"):
+                rep = ring_make(kind, p, f, r).selftest(seed=seed)
+                reports.append([rep.ring_label, rep.kind, rep.p, rep.f, rep.r,
+                                [[c.name, c.ok, c.mode, c.witness] for c in rep.checks]])
+        blob = json.dumps(reports, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == _GRID_REPORTS_SHA256, seed

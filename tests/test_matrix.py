@@ -212,6 +212,14 @@ def test_chu_sum_small_value_by_hand():
     assert chu_sum(3, 1, 1) == 4 % 3 == 1
 
 
+def test_chu_sum_vanishes_in_range():
+    for p in (5, 7, 11, 13):
+        for n in range(1, p // 2 + 1):
+            for k in range(n):
+                for ell in range(n):
+                    assert chu_sum(p, k, ell) == 0, (p, k, ell)
+
+
 def test_chu_sum_rejects_negative():
     with pytest.raises(ValueError):
         chu_sum(5, -1, 0)

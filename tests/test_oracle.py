@@ -176,6 +176,25 @@ def test_perp_is_orthogonal_complement():
 # ---------------------------------------------------------------------------
 # the full cross-check
 
+def test_oracle_agrees_with_class_pipeline():
+    cases = [
+        ("GL", 1, "witt", 5, 1, 1, 2),   # C_4 at p = 2
+        ("SL", 2, "witt", 2, 1, 1, 3),   # S_3 at p = 3
+        ("SL", 2, "witt", 2, 1, 2, 2),
+        ("SL", 2, "poly", 2, 1, 2, 2),
+    ]
+    for fam, n, kind, p, f, r, prof_p in cases:
+        table, part = _pipeline(fam, n, kind, p, f, r)
+        A = AlgebraTable.from_element_table(table, prof_p)
+        rep = oracle_profile(A, part, prof_p)
+        assert rep.ok, rep
+        assert rep.first_mismatch is None
+        assert rep.dims_linalg == rep.dims_classes
+        assert rep.stab_linalg == rep.stab_classes
+        assert rep.commutator_rank_ok and rep.t0_is_commutator
+        assert rep.chain_ok and rep.dual_rank_ok and rep.terminal_ok
+
+
 def test_oracle_rejects_mismatched_prime():
     table, part = _pipeline("SL", 2, "witt", 2, 1, 1)
     A = AlgebraTable.from_element_table(table, 2)
