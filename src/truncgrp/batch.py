@@ -37,14 +37,14 @@ def _min_int_dtype(bound):
     raise OverflowError("block products would overflow int64")
 
 
-def tensor_from_mul(mul, basis, coords) -> np.ndarray:
-    """T[i, j, k] with basis[i] * basis[j] = sum_k T[i, j, k] basis[k],
-    from the scalar ``mul``; ``coords`` reads an element's coordinates."""
-    w = len(basis)
+def tensor_from_mul(mul, w: int) -> np.ndarray:
+    """T[i, j, k] with e_i * e_j = sum_k T[i, j, k] e_k, from the scalar
+    ``mul`` on the w unit coordinate tuples e_i."""
+    basis = [tuple(int(i == k) for k in range(w)) for i in range(w)]
     T = np.zeros((w, w, w), dtype=np.int64)
     for i in range(w):
         for j in range(w):
-            T[i, j] = coords(mul(basis[i], basis[j]))
+            T[i, j] = mul(basis[i], basis[j])
     return T
 
 
@@ -118,7 +118,7 @@ class BatchRing:
                                   "convolution of its t^0 coefficients")
         # ring operations on (..., w) coordinate vectors, named as on ring.Ring
         self.zero = np.zeros(self.w, dtype=np.int64)
-        self.one = np.array(ring.coords(ring.one), dtype=np.int64)
+        self.one = np.array(ring.one, dtype=np.int64)
 
     def add(self, a, b):
         return (a + b) % self.M

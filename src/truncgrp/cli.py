@@ -564,7 +564,8 @@ def main(argv=None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TruncgrpError as exc:
+    except (TruncgrpError, ArithmeticError, MemoryError) as exc:
+        # a detected failure, or an arithmetic or memory limit reached
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - t0

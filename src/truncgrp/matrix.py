@@ -446,15 +446,16 @@ def _sylow_positions(group: GroupDesc):
     return upper, free
 
 
-def _sylow_tables(R):
+def _sylow_tables(R, pim_indices):
     """Coordinates of the lifts of F_q, in F.elements() order, and of the
-    elements of pi * O_r, in canonical digit order (first digit slowest)."""
-    F = R.field
+    elements of pi * O_r with these indices in canonical digit order
+    (first digit slowest)."""
+    F, q = R.field, R.q
     fels = list(F.elements())
-    lifts = [R.coords(R.lift(a)) for a in fels]
-    pim = [R.coords(R.from_digits((F.zero,) + combo))
-           for combo in itertools.product(fels, repeat=R.r - 1)]
-    return np.array(lifts, dtype=np.int64), np.array(pim, dtype=np.int64)
+    pim = [R.from_digits([F.zero] + [fels[k // q ** e % q] for e in reversed(range(R.r - 1))])
+           for k in pim_indices]
+    return (np.array([R.lift(a) for a in fels], dtype=np.int64),
+            np.array(pim, dtype=np.int64))
 
 
 def _sylow_coords(group: GroupDesc, lifts, pim, digits) -> np.ndarray:
@@ -498,7 +499,7 @@ def _sylow_chunks(group: GroupDesc, cap: int):
     size = group.sylow_size()
     if size > cap:
         raise CapExceededError(f"Sylow subgroup of {group.label} has {size} elements, cap {cap}")
-    lifts, pim = _sylow_tables(group.ring)
+    lifts, pim = _sylow_tables(group.ring, range(group.ring.q ** (group.ring.r - 1)))
     upper, free = _sylow_positions(group)
     radices = np.array([len(lifts)] * len(upper) + [len(pim)] * len(free), dtype=np.int64)
     weights = np.cumprod(radices[::-1])[::-1] // radices
@@ -555,13 +556,7 @@ class ExponentResult:
 
 
 def mat_coords(mat: Mat) -> np.ndarray:
-    R = mat.ring
-    n = mat.n
-    out = np.empty((n, n, R.w), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = R.coords(mat.entry(i, j))
-    return out
+    return np.array(mat.rows, dtype=np.int64)
 
 
 def mat_from_coords(ring, arr) -> Mat:
@@ -617,8 +612,13 @@ def p_exponent(group: GroupDesc, strategy: str = "exhaustive", trials: int = 100
     elif strategy == "sampled":
         if trials < 1:
             raise ValueError("trials must be >= 1")
+        # pi * O_r has q^(r-1) elements: build only the drawn ones, and
+        # point the kernel columns at them
         digits = _sampled_digits(group, trials, seed)
-        chunks = [_sylow_coords(group, *_sylow_tables(R), digits)]
+        kernel = digits[:, len(_sylow_positions(group)[0]):]
+        drawn, inverse = np.unique(kernel, return_inverse=True)
+        kernel[:] = inverse.reshape(kernel.shape)
+        chunks = [_sylow_coords(group, *_sylow_tables(R, drawn.tolist()), digits)]
         note += f"; lower bound from {trials} samples"
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -1,14 +1,17 @@
 """Exact arithmetic for truncated local rings with residue field F_q.
 
-Two ring kinds of length r over F_q (q = p^f) are supported:
+Two ring kinds of length r over F_q (q = p^f) are supported, and an
+element of either is the flat tuple of its w integer coordinates, each
+in [0, coord_mod):
 
-* ``poly``: F_q[t]/t^r.  Elements are tuples of r field elements, the
-  coefficients of 1, t, ..., t^(r-1).  The uniformizer is t and the
+* ``poly``: F_q[t]/t^r, w = r f and coord_mod = p.  The coefficient of
+  t^k, a field element, sits at positions k f, ..., (k+1) f - 1, so for
+  r = 1 an element is an Fq element.  The uniformizer is t and the
   characteristic is p.
 * ``witt``: the unramified length-r lift of F_q, realized as the Galois
-  ring (Z/p^r)[x]/(mhat).  Elements are tuples of f integers in
-  [0, p^r), the coefficients of 1, x, ..., x^(f-1).  The uniformizer is
-  p and the characteristic is p^r.  mhat is the monic lift of the field
+  ring (Z/p^r)[x]/(mhat), w = f and coord_mod = p^r.  The coordinates
+  are the coefficients of 1, x, ..., x^(f-1).  The uniformizer is p and
+  the characteristic is p^r.  mhat is the monic lift of the field
   modulus with the same integer coefficients; any monic lift of an
   irreducible polynomial yields this ring up to isomorphism.  The
   self-test suite checks the properties that pin the construction down
@@ -25,15 +28,14 @@ coefficient tuples modulo a monic polynomial and an integer.  ``Fq.mul``
 uses it with (m, p), the witt ``Ring.mul`` with (mhat, p^r), the poly
 ``Ring.mul`` with m at x = y^(2r-1) on a packed form (see ``Ring.mul``),
 and the irreducibility test behind the modulus scan for its powers of x
-(``batch.square_and_multiply``) and its gcd remainders.  Only the
-one-product cases (f = 1, and r = f = 1 for poly) skip it.
+(``batch.square_and_multiply``) and its gcd remainders.  Only rings and
+fields with one coordinate skip it.
 
 Elements are immutable tuples and Fq/Ring instances are read-only
 context objects, so everything here is safe for concurrent use.
 
-Byte encoding (version 1): the flat coefficient sequence,
-little-endian, fixed width per coefficient (width of p-1 for poly
-coefficients, width of p^r-1 for witt coefficients).
+Byte encoding (version 1): the coordinates, each little-endian in the
+fixed width of coord_mod - 1.
 
 Self test: ``Ring.selftest`` runs its exhaustive checks (the residue
 field's Fermat identity for f > 1, cardinality, unit count, the digit
@@ -129,10 +131,6 @@ def _agreement_indices(n):
     """_AGREE_SAMPLES indices spread over range(n), one in the middle of
     each equal slice."""
     return sorted({(2 * i + 1) * n // (2 * _AGREE_SAMPLES) for i in range(_AGREE_SAMPLES)})
-
-
-def _unit_vectors(w):
-    return [tuple(int(i == k) for k in range(w)) for i in range(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +328,7 @@ class Fq:
     def structure_tensor(self):
         """(f, f, f) structure tensor of this instance's ``mul`` on the
         basis 1, x, ..., x^(f-1)."""
-        return tensor_from_mul(self.mul, _unit_vectors(self.f), tuple)
+        return tensor_from_mul(self.mul, self.f)
 
     def fermat_check(self, cap: int = 10_000):
         """Witness that a^q != a for some element, or None; memoized.
@@ -438,26 +436,28 @@ class Ring:
             self.pr = p ** r
             self.mhat = tuple(c % self.pr for c in self.field.modulus)
             self.characteristic = self.pr
-            self.w = f                      # coefficient count
-            self.coord_mod = self.pr       # coefficient modulus
-            self.zero = (0,) * f
-            self.one = (1,) + (0,) * (f - 1)
+            self.w = f                      # coordinate count
+            self.coord_mod = self.pr       # coordinate modulus
             self.pi = (p % self.pr,) + (0,) * (f - 1)
         else:
             self.characteristic = p
             self.w = r * f
             self.coord_mod = p
-            fz, fo = self.field.zero, self.field.one
-            self.zero = (fz,) * r
-            self.one = (fo,) + (fz,) * (r - 1)
-            if r >= 2:
-                self.pi = (fz, fo) + (fz,) * (r - 2)
-            else:
-                self.pi = self.zero
-            # see mul: the field modulus m(x) at x = y^(2r-1)
-            mpack = [0] * (f * (2 * r - 1) + 1)
-            mpack[::2 * r - 1] = self.field.modulus
+            self.pi = tuple(int(i == f) for i in range(self.w))  # t; 0 if r = 1
+            # see mul: the field modulus m(x) at x = y^(2r-1), and the
+            # packed position k + j (2r-1) of each coordinate k f + j
+            step = 2 * r - 1
+            mpack = [0] * (f * step + 1)
+            mpack[::step] = self.field.modulus
             self._mpack = tuple(mpack)
+            packed = [k + j * step for k in range(r) for j in range(f)]
+            gather = [self.w] * ((f - 1) * step + r)  # self.w: a padding 0
+            for i, pos in enumerate(packed):
+                gather[pos] = i
+            self._pack = operator.itemgetter(*gather)
+            self._unpack = operator.itemgetter(*packed)
+        self.zero = (0,) * self.w
+        self.one = (1,) + (0,) * (self.w - 1)
         self.coeff_width = max(1, ((self.coord_mod - 1).bit_length() + 7) // 8)
         self._teich = {}
 
@@ -485,61 +485,41 @@ class Ring:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a, b):
-        if self.kind == WITT:
-            m = self.pr
-            return tuple((x + y) % m for x, y in zip(a, b))
-        fa = self.field.add
-        return tuple(fa(x, y) for x, y in zip(a, b))
+        m = self.coord_mod
+        return tuple((x + y) % m for x, y in zip(a, b))
 
     def sub(self, a, b):
-        if self.kind == WITT:
-            m = self.pr
-            return tuple((x - y) % m for x, y in zip(a, b))
-        fs = self.field.sub
-        return tuple(fs(x, y) for x, y in zip(a, b))
+        m = self.coord_mod
+        return tuple((x - y) % m for x, y in zip(a, b))
 
     def neg(self, a):
-        if self.kind == WITT:
-            m = self.pr
-            return tuple(-x % m for x in a)
-        fn = self.field.neg
-        return tuple(fn(x) for x in a)
+        m = self.coord_mod
+        return tuple(-x % m for x in a)
 
     def mul(self, a, b):
-        if self.kind == WITT:
-            if self.f == 1:
-                return (a[0] * b[0] % self.pr,)
-            return _mulmod(a, b, self.mhat, self.pr)
         if self.w == 1:
-            return ((a[0][0] * b[0][0] % self.p,),)
+            return (a[0] * b[0] % self.coord_mod,)
+        if self.kind == WITT:
+            return _mulmod(a, b, self.mhat, self.pr)
         # F_q[t]/t^r = (F_p[t]/t^r)[x]/(m).  Packed as polynomials in y
         # with t = y and x = y^(2r-1), the t-degrees of a product (at most
         # 2r-2) never reach the next power of x, so reducing by _mpack =
         # m(y^(2r-1)) reduces mod m in every t-degree; truncation mod t^r
         # is then a read-off
-        r, step = self.r, 2 * self.r - 1
-        n = (self.f - 1) * step + r
-        pa, pb = [0] * n, [0] * n
-        for k in range(r):
-            pa[k::step] = a[k]
-            pb[k::step] = b[k]
-        prod = _mulmod(pa, pb, self._mpack, self.p)
-        return tuple(prod[k::step] for k in range(r))
+        pack = self._pack
+        return self._unpack(_mulmod(pack(a + (0,)), pack(b + (0,)), self._mpack, self.p))
 
     def pow(self, a, e: int):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        if self.kind == WITT and self.f == 1:
-            return (pow(a[0], e, self.pr),)
-        if self.kind == POLY and self.r == 1:
-            return (self.field.pow(a[0], e),)
+        if self.w == 1:
+            return (pow(a[0], e, self.coord_mod),)
         return square_and_multiply(self.mul, a, e) if e else self.one
 
     def structure_tensor(self):
         """(w, w, w) structure tensor of this instance's ``mul`` on the
-        coordinate basis (see ``coords``)."""
-        basis = [self.from_coords(e) for e in _unit_vectors(self.w)]
-        return tensor_from_mul(self.mul, basis, self.coords)
+        coordinate basis."""
+        return tensor_from_mul(self.mul, self.w)
 
     def int_mul(self, a, k: int):
         """k-fold sum of a (k may be any integer)."""
@@ -554,19 +534,14 @@ class Ring:
         return result
 
     def from_int(self, k: int):
-        if self.kind == WITT:
-            return (k % self.pr,) + (0,) * (self.f - 1)
-        return (self.field.from_int(k),) + (self.field.zero,) * (self.r - 1)
+        return (k % self.coord_mod,) + (0,) * (self.w - 1)
 
     # -- valuation / units --------------------------------------------------
 
     def valuation(self, a) -> int:
         """pi-adic valuation, with valuation(0) = r by convention."""
         if self.kind == POLY:
-            for j, c in enumerate(a):
-                if c != self.field.zero:
-                    return j
-            return self.r
+            return next((i // self.f for i, c in enumerate(a) if c), self.r)
         v = self.r
         for c in a:
             if c:
@@ -608,22 +583,20 @@ class Ring:
         if target is self:
             return a
         if self.kind == POLY:
-            return a[:s]
+            return a[:s * self.f]
         m = target.pr
         return tuple(c % m for c in a)
 
     def residue(self, a) -> tuple:
         """Image in the residue field F_q, as an Fq element."""
-        if self.kind == POLY:
-            return a[0]
-        return tuple(c % self.p for c in a)
+        p = self.p
+        return tuple(c % p for c in a[:self.f])
 
     def lift(self, a):
-        """The element with the field element a's integer coefficients: the
-        constant a (poly kind), or a's coefficients read mod p^r (witt)."""
-        if self.kind == POLY:
-            return (tuple(a),) + (self.field.zero,) * (self.r - 1)
-        return tuple(a)
+        """The element whose first f coordinates are the field element a's
+        integer coefficients: the constant a (poly kind), or a's
+        coefficients read mod p^r (witt)."""
+        return tuple(a) + (0,) * (self.w - self.f)
 
     # -- Teichmueller section and digits -------------------------------------
 
@@ -642,11 +615,8 @@ class Ring:
         return t
 
     def _shift_down(self, a):
-        # preimage under multiplication by pi, canonical (top digit zero)
-        if self.kind == POLY:
-            if a[0] != self.field.zero:
-                raise ArithmeticError("not divisible by the uniformizer")
-            return a[1:] + (self.field.zero,)
+        # witt kind: preimage under multiplication by p, canonical (top
+        # digit zero)
         if any(c % self.p for c in a):
             raise ArithmeticError("not divisible by the uniformizer")
         return tuple(c // self.p for c in a)
@@ -654,7 +624,8 @@ class Ring:
     def witt_digits(self, a) -> tuple:
         """The r Teichmueller digits of a: a = sum tau(d_i) pi^i."""
         if self.kind == POLY:
-            return tuple(a)
+            f = self.f  # tau is the embedding and pi shifts: read-off
+            return tuple(a[k * f:(k + 1) * f] for k in range(self.r))
         if self.r == 1:
             return (tuple(a),)
         digits = []
@@ -671,7 +642,7 @@ class Ring:
         if len(digits) != self.r:
             raise ValueError(f"need {self.r} digits")
         if self.kind == POLY:
-            return digits  # tau is the embedding and pi shifts: read-off
+            return tuple(c for d in digits for c in d)  # see witt_digits
         acc = self.zero
         for d in reversed(digits):
             acc = self.add(self.teichmuller(d), self.mul(self.pi, acc))
@@ -679,30 +650,19 @@ class Ring:
 
     # -- coordinates / enumeration / encoding --------------------------------
 
-    def coords(self, a) -> tuple:
-        """Flat integer coordinates, little-endian, each in [0, coord_mod)."""
-        if self.kind == WITT:
-            return tuple(a)
-        return tuple(c for fq in a for c in fq)
-
     def from_coords(self, coords):
+        """The element with these coordinates, checked: they may come from
+        outside the program (matrix literals, cache files)."""
         coords = tuple(int(c) for c in coords)
         if len(coords) != self.w:
             raise ValueError(f"need {self.w} coordinates")
         if any(not 0 <= c < self.coord_mod for c in coords):
             raise ValueError("coordinate out of range")
-        return self._from_flat(coords)
-
-    def _from_flat(self, coords: tuple):
-        """The element with these (valid) flat coordinates."""
-        if self.kind == WITT:
-            return coords
-        f = self.f
-        return tuple(coords[j * f:(j + 1) * f] for j in range(self.r))
+        return coords
 
     def index(self, a) -> int:
         k = 0
-        for c in reversed(self.coords(a)):
+        for c in reversed(a):
             k = k * self.coord_mod + c
         return k
 
@@ -715,24 +675,11 @@ class Ring:
         for _ in range(self.w):
             k, c = divmod(k, M)
             coords.append(c)
-        return self._from_flat(tuple(coords))
+        return tuple(coords)
 
     def elements(self):
         # index order: coordinate 0 varies fastest
-        if self.kind == WITT:
-            if self.f == 1:
-                for k in range(self.pr):
-                    yield (k,)
-                return
-            for tup in itertools.product(range(self.pr), repeat=self.f):
-                yield tup[::-1]
-            return
-        fels = list(self.field.elements())
-        if self.r == 1:
-            for a in fels:
-                yield (a,)
-            return
-        for tup in itertools.product(fels, repeat=self.r):
+        for tup in itertools.product(range(self.coord_mod), repeat=self.w):
             yield tup[::-1]
 
     def rand(self, rng: random.Random):
@@ -740,7 +687,7 @@ class Ring:
 
     def encode(self, a) -> bytes:
         wdt = self.coeff_width
-        return b"".join(c.to_bytes(wdt, "little") for c in self.coords(a))
+        return b"".join(c.to_bytes(wdt, "little") for c in a)
 
     def decode(self, data: bytes):
         wdt = self.coeff_width
@@ -755,7 +702,7 @@ class Ring:
         if self.kind == WITT:
             return self.field.render(a)  # the same x-polynomial form
         terms = []
-        for j, c in enumerate(a):
+        for j, c in enumerate(self.witt_digits(a)):
             if c == self.field.zero:
                 continue
             if j == 0:
@@ -809,7 +756,7 @@ class SelfTestReport:
 
 def _teichmuller_table(ring):
     """(q, w) coordinates of tau(a) for a over F_q in index order."""
-    return np.array([ring.coords(ring.teichmuller(a)) for a in ring.field.elements()],
+    return np.array([ring.teichmuller(a) for a in ring.field.elements()],
                     dtype=np.int64).reshape(ring.q, ring.w)
 
 
@@ -843,8 +790,7 @@ def _digit_roundtrip(ring, taus, a):
 
 def _unit_mask(ring, a):
     """``is_unit`` on (N, w) coordinates: valuation 0, a nonzero residue."""
-    residue = a[:, :ring.f] if ring.kind == POLY else a % ring.p
-    return residue.any(axis=1)
+    return (a[:, :ring.f] % ring.p).any(axis=1)
 
 
 def _encode_rows(ring, a):
@@ -1170,10 +1116,7 @@ class _ExprParser:
         if name == "x":
             if ring.f == 1:
                 raise ParseError("'x' is not available when f = 1", pos)
-            if ring.kind == WITT:
-                return ring.from_coords((0, 1) + (0,) * (ring.w - 2))
-            gen = (0, 1) + (0,) * (ring.f - 2)
-            return (gen,) + (ring.field.zero,) * (ring.r - 1)
+            return ring.lift((0, 1) + (0,) * (ring.f - 2))
         raise ParseError(f"unknown symbol {name!r}", pos)
 
 

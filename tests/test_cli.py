@@ -76,6 +76,16 @@ def test_exit_code_bad_ring_params(capsys):
     assert "not prime" in err
 
 
+def test_exit_code_arithmetic_limit(capsys):
+    # coordinates mod 2^40: the batch products would overflow int64
+    rc = main(["exponent", "-n", "2", "--kind", "witt", "-p", "2", "-r", "40",
+               "--strategy", "sampled", "--trials", "5"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: block products would overflow int64\n"
+
+
 def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])

@@ -6,6 +6,7 @@ from truncgrp import (GroupDesc, Mat, MembershipError, NonUnitError,
                       enumerate_group, exponent_multiple, mat_coords,
                       mat_from_coords, p_exponent, parse_matrix, ring_make,
                       sylow_p_elements, transvection, unitriangular_power)
+from truncgrp.ring import Ring
 
 
 def _rand_mat(R, n, rng):
@@ -337,6 +338,18 @@ def test_p_exponent_pinned_witnesses():
         res = p_exponent(GroupDesc(fam, n, ring_make(kind, p, f, r)),
                          strategy="sampled", trials=trials, seed=seed)
         assert (res.method, res.value, res.witness.render()) == ("sampled", value, witness)
+
+
+def test_sampled_p_exponent_builds_only_the_drawn_kernel_entries(monkeypatch):
+    # pi * O_r of Z/2^20 has 2^19 elements; 5 trials draw at most 5 x 4
+    R = ring_make("witt", 2, 1, 20)
+    calls = []
+    from_digits = Ring.from_digits
+    monkeypatch.setattr(Ring, "from_digits",
+                        lambda self, digits: calls.append(1) or from_digits(self, digits))
+    res = p_exponent(GroupDesc("GL", 2, R), strategy="sampled", trials=5)
+    assert res.method == "sampled"
+    assert 1 <= len(calls) <= 5 * 4
 
 
 def test_p_exponent_exhaustive_values():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -223,6 +224,33 @@ def test_truncate_caches_and_degenerate_cases():
     assert R.truncate(1) is ring_make("poly", 2, 2, 1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["witt", "poly"]), p=st.sampled_from([2, 3, 5]),
+       f=st.integers(1, 3), r=st.integers(1, 4), data=st.data())
+def test_every_element_is_its_flat_coordinate_tuple(kind, p, f, r, data):
+    R = ring_make(kind, p, f, r)
+    F = R.field
+
+    def flat(x):
+        return (type(x) is tuple and len(x) == R.w
+                and all(type(c) is int and 0 <= c < R.coord_mod for c in x))
+    ks = data.draw(st.lists(st.integers(0, R.size - 1), min_size=2, max_size=2))
+    for k, row in zip(ks, ringmod._index_coords(ks, R.coord_mod, R.w).tolist()):
+        assert R.from_index(k) == tuple(row)
+    a, b = (R.from_index(k) for k in ks)
+    fel = F.from_index(data.draw(st.integers(0, R.q - 1)))
+    digits = [F.from_index(data.draw(st.integers(0, R.q - 1))) for _ in range(r)]
+    unit = a if R.is_unit(a) else R.add(a, R.one)
+    for x in (R.add(a, b), R.sub(a, b), R.neg(a), R.mul(a, b),
+              R.pow(a, data.draw(st.integers(0, 40))), R.inv(unit),
+              R.teichmuller(fel), R.lift(fel),
+              R.from_int(data.draw(st.integers(-1000, 1000))),
+              R.from_digits(digits), parse_element(R, R.render(a))):
+        assert flat(x), x
+    if R.size <= 729:
+        assert list(R.elements()) == [R.from_index(k) for k in range(R.size)]
+
+
 def test_index_and_coords_roundtrip():
     for kind, p, f, r in [("witt", 3, 1, 2), ("witt", 2, 2, 2), ("poly", 3, 2, 2)]:
         R = ring_make(kind, p, f, r)
@@ -230,7 +258,7 @@ def test_index_and_coords_roundtrip():
         assert idxs == list(range(R.size))
         for a in R.elements():
             assert R.from_index(R.index(a)) == a
-            assert R.from_coords(R.coords(a)) == a
+            assert R.from_coords(a) == a
 
 
 @pytest.mark.parametrize("kind, p, f, r", [("poly", 3, 1, 2), ("witt", 3, 1, 2), ("poly", 2, 2, 2)])
@@ -300,6 +328,17 @@ def test_parse_extension_generator():
     Rp = ring_make("poly", 2, 2, 2)
     xt = parse_element(Rp, "x t")
     assert Rp.valuation(xt) == 1
+
+
+@pytest.mark.parametrize("p, digest", [
+    (2, "fa83a9cc5550a2893ea024ca6294474865107374775ef7213a8d5d00c60d4e12"),
+    (3, "e815a77adcdab467b7047ec2fbcc8b3a6e623196bba5faf6cd0a5ae9ad2ba3dd"),
+])
+def test_poly_extension_text_form_pinned(p, digest):
+    R = ring_make("poly", p, 2, 2)  # F_4[t]/t^2 and F_9[t]/t^2
+    texts = [R.render(a) for a in R.elements()]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
+    assert [parse_element(R, text) for text in texts] == list(R.elements())
 
 
 def test_parse_render_roundtrip(rng):
@@ -430,7 +469,7 @@ def test_batch_digits_and_units_agree_with_scalar(kind, p, f, r, data):
     for k, row, d_row, b_row, unit in zip(idx, a.tolist(), digits.tolist(),
                                           back.tolist(), units.tolist()):
         x = R.from_index(k)
-        assert R.coords(x) == tuple(row)
+        assert x == tuple(row)
         d = R.witt_digits(x)
         assert d == tuple(map(tuple, d_row))
         assert R.from_digits(d) == R.from_coords(b_row) == x
@@ -559,8 +598,9 @@ def test_poly_mul_matches_schoolbook_over_fq(p, f, r, data):
     R = ring_make("poly", p, f, r)
     F = R.field
     a, b = (R.from_index(data.draw(st.integers(0, R.size - 1))) for _ in range(2))
+    da, db = R.witt_digits(a), R.witt_digits(b)  # the t^k coefficients
     ref = [F.zero] * r
     for i in range(r):
         for j in range(r - i):
-            ref[i + j] = F.add(ref[i + j], F.mul(a[i], b[j]))
-    assert R.mul(a, b) == tuple(ref)
+            ref[i + j] = F.add(ref[i + j], F.mul(da[i], db[j]))
+    assert R.witt_digits(R.mul(a, b)) == tuple(ref)
