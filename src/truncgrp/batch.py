@@ -203,5 +203,5 @@ class BatchRing:
         if d * np.log2(max(self.M, 2)) > 62:
             raise OverflowError("matrix does not fit in an int64 key")
         flat = c.reshape(c.shape[:-3] + (d,))
-        weights = (self.M ** np.arange(d, dtype=np.int64)).astype(np.int64)
+        weights = self.M ** np.arange(d, dtype=np.int64)
         return flat @ weights

@@ -73,11 +73,7 @@ def generators(group: GroupDesc) -> list[Mat]:
     if group.family == "GL":
         for k in range(1, R.r):
             for m in range(R.f):
-                if R.kind == ringmod.WITT:
-                    coords = tuple(R.p ** k if c == m else 0 for c in range(R.w))
-                else:
-                    coords = tuple(1 if c == k * R.f + m else 0 for c in range(R.w))
-                u = R.add(R.one, R.from_coords(coords))
+                u = R.add(R.one, R.mul(R.pow(R.pi, k), basis[m]))
                 gens.append(diagonal(R, (u,) + (R.one,) * (n - 1)))
     return gens
 
@@ -90,7 +86,7 @@ class ElementTable:
         self.ring = group.ring
         self.batch = BatchRing.get(group.ring)
         self.coords = np.ascontiguousarray(coords, dtype=self.batch.coord_dtype)
-        self.keys = self.batch.encode(self.coords.astype(np.int64))
+        self.keys = self.batch.encode(self.coords)
         self.sort_perm = np.argsort(self.keys, kind="stable")
         self.sorted_keys = self.keys[self.sort_perm]
         if len(self.sorted_keys) > 1 and not (np.diff(self.sorted_keys) != 0).all():
@@ -100,7 +96,7 @@ class ElementTable:
         return len(self.coords)
 
     def mat(self, i: int) -> Mat:
-        return mat_from_coords(self.ring, self.coords[i].astype(np.int64))
+        return mat_from_coords(self.ring, self.coords[i])
 
     def ids_from_keys(self, keys: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self.sorted_keys, keys)
@@ -119,7 +115,7 @@ class ElementTable:
         return int(self.sort_perm[pos])
 
     def blocks(self) -> np.ndarray:
-        return self.batch.block(self.coords.astype(np.int64))
+        return self.batch.block(self.coords)
 
 
 def enumerate_group(group: GroupDesc, cap: int = CLASS_CAP) -> ElementTable:
@@ -139,14 +135,13 @@ def enumerate_group(group: GroupDesc, cap: int = CLASS_CAP) -> ElementTable:
     gens = generators(group)
     ident = mat_coords(group.identity_mat()).astype(br.coord_dtype)
     chunks = [ident[None]]
-    master = br.encode(ident[None].astype(np.int64))
+    master = br.encode(ident[None])
     total = 1
     if gens:
         gen_blocks = br.block(np.stack([mat_coords(g) for g in gens]))
         frontier = deque([ident[None]])
         while frontier:
-            batch = frontier.popleft().astype(np.int64)
-            bblocks = br.block(batch)
+            bblocks = br.block(frontier.popleft())
             cand = np.concatenate([br.matmul(bblocks, gen_blocks[j])
                                    for j in range(len(gens))])
             coords = br.unblock(cand, n)
@@ -279,7 +274,7 @@ def _p_regular_class_count(part: Partition, p: int) -> int:
         if ell != p:
             mprime *= ell ** e
     br = part.table.batch
-    rep_blocks = br.block(part.table.coords[part.reps].astype(np.int64))
+    rep_blocks = br.block(part.table.coords[part.reps])
     return int(br.is_identity(br.matpow(rep_blocks, mprime)).sum())
 
 

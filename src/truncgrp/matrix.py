@@ -22,7 +22,7 @@ entries are plain integers (f = 1) or x-polynomials.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import operator
 import random
@@ -148,51 +148,9 @@ class Mat:
         return True
 
     def det(self):
-        """Exact determinant: Leibniz for n <= 4, unit-pivot elimination above.
-
-        Pivots are taken among valuation-0 entries (always available while
-        the remaining block is invertible); if none remains, the leftover
-        block is expanded division-free.
-        """
-        n = self.n
-        if n <= 4:
-            return _det_leibniz(self.ring, self.rows)
-        R = self.ring
-        a = [list(row) for row in self.rows]
-        detv = R.one
-        sign = 1
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    if R.is_unit(a[i][j]):
-                        piv = (i, j)
-                        break
-                if piv:
-                    break
-            if piv is None:
-                rest = tuple(tuple(a[i][j] for j in range(k, n)) for i in range(k, n))
-                tail = _det_leibniz(R, rest)
-                prod = R.mul(detv, tail)
-                return prod if sign == 1 else R.neg(prod)
-            pi_, pj = piv
-            if pi_ != k:
-                a[pi_], a[k] = a[k], a[pi_]
-                sign = -sign
-            if pj != k:
-                for row in a:
-                    row[pj], row[k] = row[k], row[pj]
-                sign = -sign
-            pivot = a[k][k]
-            detv = R.mul(detv, pivot)
-            pinv = R.inv(pivot)
-            for i in range(k + 1, n):
-                factor = R.mul(a[i][k], pinv)
-                if factor == R.zero:
-                    continue
-                for j in range(k, n):
-                    a[i][j] = R.sub(a[i][j], R.mul(factor, a[k][j]))
-        return detv if sign == 1 else R.neg(detv)
+        """Exact determinant by Bird's division-free algorithm (see
+        ``determinant``): O(n^4) ring operations whatever the entries."""
+        return determinant(self.ring, self.rows)
 
     def inverse(self):
         """Invert the residue matrix over F_q, then Newton-lift the result."""
@@ -224,16 +182,27 @@ class Mat:
         return f"Mat({self.ring.label}, {self.render()!r})"
 
 
-def _det_leibniz(R, rows):
+def determinant(R, rows):
+    """det of the n x n matrix rows over R, without division (R. S. Bird,
+    IPL 111 (2011)): X_1 = A, X_(k+1) = mu(X_k) A and det A =
+    (-1)^(n-1) (X_n)_11, where mu(X) is the strict upper triangle of X
+    with -(X_(i+1,i+1) + ... + X_(n,n)) at (i, i).  The last of the n - 1
+    products forms only (1, 1).  R needs zero, one, add, neg and mul: a
+    ``ring.Ring``, or a ``batch.BatchRing`` with rows[i][j] the (N, w)
+    coordinates of N matrices at once.  The empty matrix has det one."""
     n = len(rows)
-    total = R.zero
-    for perm in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = R.one
-        for i in range(n):
-            term = R.mul(term, rows[i][perm[i]])
-        total = R.add(total, R.neg(term) if inv & 1 else term)
-    return total
+    if n == 0:
+        return R.one
+    x = rows
+    for step in range(1, n):
+        mu, below = [None] * n, R.zero
+        for i in reversed(range(n)):
+            mu[i] = [R.neg(below)] + list(x[i][i + 1:])
+            below = R.add(below, x[i][i])
+        m = n if step < n - 1 else 1
+        x = [[functools.reduce(R.add, map(R.mul, mu[i], (row[j] for row in rows[i:])))
+              for j in range(m)] for i in range(m)]
+    return x[0][0] if n % 2 else R.neg(x[0][0])
 
 
 def _field_inverse(R, rows):
@@ -414,7 +383,7 @@ def chu_sum(p: int, k: int, ell: int) -> int:
     return total % p
 
 
-def b_matrix(A: Mat, X: Mat, p: int | None = None) -> Mat:
+def b_matrix(A: Mat, X: Mat) -> Mat:
     """B = sum_{i=0}^{p-1} A^(p-i) X A^i over a length-2 ring.
 
     g = A(I + pi X) has g^p = A^p + pi B, so B mod pi decides whether
@@ -424,13 +393,9 @@ def b_matrix(A: Mat, X: Mat, p: int | None = None) -> Mat:
     R = A.ring
     if R.r != 2:
         raise ValueError("B is defined over length-2 rings")
-    if p is None:
-        p = R.p
-    elif p != R.p:
-        raise ValueError("p must be the residue characteristic of the ring")
     if not A.is_unitriangular():
         raise ValueError("A must be upper unitriangular")
-    return _expansion_terms(A, X, p)[1]
+    return _expansion_terms(A, X, R.p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +447,13 @@ def _sylow_coords(group: GroupDesc, lifts, pim, digits) -> np.ndarray:
         c = n - 1
         rows = np.moveaxis(k, 0, 2)  # view: rows[i][j] is entry (i, j) of every k
         k[:, c, c] = 0
-        det0 = _det_leibniz(br, rows)
-        cof = _det_leibniz(br, rows[:c, :c])
+        det0 = determinant(br, rows)
+        cof = determinant(br, rows[:c, :c])
         inv = br.one
         for _ in range((R.r - 1).bit_length()):
             inv = br.mul(inv, br.add(2 * br.one, br.neg(br.mul(cof, inv))))
         k[:, c, c] = br.mul(br.add(br.one, br.neg(det0)), inv)
-        if not np.all(_det_leibniz(br, rows) == br.one):
+        if not np.all(determinant(br, rows) == br.one):
             raise ArithmeticError("corner solve failed")
     return br.unblock(br.matmul(br.block(u), br.block(k)), n)
 

@@ -61,7 +61,7 @@ class AlgebraTable:
         if n > cap:
             raise CapExceededError(f"group of size {n} exceeds oracle cap {cap}")
         br = table.batch
-        blocks = br.block(table.coords.astype(np.int64))
+        blocks = br.block(table.coords)
         prods = br.matmul(blocks[:, None], blocks[None])
         keys = br.encode(br.unblock(prods, table.group.n))
         mult = table.ids_from_keys(keys.reshape(-1)).reshape(n, n)

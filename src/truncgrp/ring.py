@@ -31,6 +31,10 @@ and the irreducibility test behind the modulus scan for its powers of x
 (``batch.square_and_multiply``) and its gcd remainders.  Only rings and
 fields with one coordinate skip it.
 
+Fq and Ring share ``_FlatTuples``: every operation but ``mul`` and
+``inv`` that needs only w, coord_mod and the element count ``size``,
+so on all of them F_q is the length-1 ring of either kind.
+
 Elements are immutable tuples and Fq/Ring instances are read-only
 context objects, so everything here is safe for concurrent use.
 
@@ -87,7 +91,7 @@ _AGREE_SAMPLES = 8
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
@@ -223,7 +227,71 @@ def _find_modulus(p, f):
 
 # ---------------------------------------------------------------------------
 
-class Fq:
+class _FlatTuples:
+    """Fq and Ring arithmetic on tuples of w integers in [0, coord_mod),
+    size elements in all; a subclass supplies ``mul`` and ``inv``."""
+
+    def __init__(self, w: int, coord_mod: int, size: int):
+        self.w = w
+        self.coord_mod = coord_mod
+        self.size = size
+        self.zero = (0,) * w
+        self.one = (1,) + (0,) * (w - 1)
+
+    def from_int(self, k: int) -> tuple:
+        return (k % self.coord_mod,) + (0,) * (self.w - 1)
+
+    def add(self, a, b):
+        m = self.coord_mod
+        return tuple((x + y) % m for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        m = self.coord_mod
+        return tuple((x - y) % m for x, y in zip(a, b))
+
+    def neg(self, a):
+        m = self.coord_mod
+        return tuple(-x % m for x in a)
+
+    def pow(self, a, e: int):
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        if self.w == 1:
+            return (pow(a[0], e, self.coord_mod),)
+        return square_and_multiply(self.mul, a, e) if e else self.one
+
+    def structure_tensor(self):
+        """(w, w, w) structure tensor of this instance's ``mul`` on the
+        coordinate basis."""
+        return tensor_from_mul(self.mul, self.w)
+
+    def index(self, a) -> int:
+        k = 0
+        for c in reversed(a):
+            k = k * self.coord_mod + c
+        return k
+
+    def from_index(self, k: int) -> tuple:
+        k = operator.index(k)
+        if not 0 <= k < self.size:
+            raise ValueError(f"index {k} out of range for {self!r}")
+        M = self.coord_mod
+        coords = []
+        for _ in range(self.w):
+            k, c = divmod(k, M)
+            coords.append(c)
+        return tuple(coords)
+
+    def elements(self):
+        # index order: coordinate 0 varies fastest
+        for tup in itertools.product(range(self.coord_mod), repeat=self.w):
+            yield tup[::-1]
+
+    def rand(self, rng: random.Random):
+        return self.from_index(rng.randrange(self.size))
+
+
+class Fq(_FlatTuples):
     """The finite field F_q, q = p^f; elements are coefficient tuples.
 
     The modulus is the lexicographically least monic irreducible of
@@ -236,9 +304,10 @@ class Fq:
             raise ValueError(f"p = {p} is not prime")
         if f < 1:
             raise ValueError("f must be >= 1")
+        super().__init__(f, p, p ** f)
         self.p = p
         self.f = f
-        self.q = p ** f
+        self.q = self.size
         if modulus is None:
             modulus = _find_modulus(p, f)
         else:
@@ -248,8 +317,6 @@ class Fq:
             if not _is_irreducible(modulus, p):
                 raise ValueError("modulus is reducible")
         self.modulus = modulus
-        self.zero = (0,) * f
-        self.one = (1,) + (0,) * (f - 1)
         self._gen = None
         self._fermat = "unchecked"
 
@@ -263,21 +330,6 @@ class Fq:
     def __hash__(self):
         return hash((self.p, self.f, self.modulus))
 
-    def from_int(self, k: int) -> tuple:
-        return (k % self.p,) + (0,) * (self.f - 1)
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
-
     def mul(self, a, b):
         if self.f == 1:
             return (a[0] * b[0] % self.p,)
@@ -290,45 +342,8 @@ class Fq:
             return (pow(a[0], -1, self.p),)
         return self.pow(a, self.q - 2)
 
-    def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if self.f == 1:
-            return (pow(a[0], e, self.p),)
-        return square_and_multiply(self.mul, a, e) if e else self.one
-
     def frobenius(self, a):
         return self.pow(a, self.p)
-
-    def index(self, a) -> int:
-        k = 0
-        for c in reversed(a):
-            k = k * self.p + c
-        return k
-
-    def from_index(self, k: int) -> tuple:
-        coeffs = []
-        for _ in range(self.f):
-            coeffs.append(k % self.p)
-            k //= self.p
-        return tuple(coeffs)
-
-    def elements(self):
-        # index order: coefficient 0 varies fastest
-        if self.f == 1:
-            for k in range(self.p):
-                yield (k,)
-            return
-        for tup in itertools.product(range(self.p), repeat=self.f):
-            yield tup[::-1]
-
-    def rand(self, rng: random.Random):
-        return self.from_index(rng.randrange(self.q))
-
-    def structure_tensor(self):
-        """(f, f, f) structure tensor of this instance's ``mul`` on the
-        basis 1, x, ..., x^(f-1)."""
-        return tensor_from_mul(self.mul, self.f)
 
     def fermat_check(self, cap: int = 10_000):
         """Witness that a^q != a for some element, or None; memoized.
@@ -417,7 +432,7 @@ def field_make(p: int, f: int) -> Fq:
 
 # ---------------------------------------------------------------------------
 
-class Ring:
+class Ring(_FlatTuples):
     """A truncated local ring O_r of the given kind over F_q (see module doc)."""
 
     def __init__(self, kind: str, p: int, f: int, r: int):
@@ -431,18 +446,15 @@ class Ring:
         self.f = f
         self.r = r
         self.q = self.field.q
-        self.size = self.q ** r
         if kind == WITT:
             self.pr = p ** r
+            super().__init__(f, self.pr, self.q ** r)
             self.mhat = tuple(c % self.pr for c in self.field.modulus)
             self.characteristic = self.pr
-            self.w = f                      # coordinate count
-            self.coord_mod = self.pr       # coordinate modulus
             self.pi = (p % self.pr,) + (0,) * (f - 1)
         else:
+            super().__init__(r * f, p, self.q ** r)
             self.characteristic = p
-            self.w = r * f
-            self.coord_mod = p
             self.pi = tuple(int(i == f) for i in range(self.w))  # t; 0 if r = 1
             # see mul: the field modulus m(x) at x = y^(2r-1), and the
             # packed position k + j (2r-1) of each coordinate k f + j
@@ -456,8 +468,6 @@ class Ring:
                 gather[pos] = i
             self._pack = operator.itemgetter(*gather)
             self._unpack = operator.itemgetter(*packed)
-        self.zero = (0,) * self.w
-        self.one = (1,) + (0,) * (self.w - 1)
         self.coeff_width = max(1, ((self.coord_mod - 1).bit_length() + 7) // 8)
         self._teich = {}
 
@@ -484,18 +494,6 @@ class Ring:
 
     # -- arithmetic --------------------------------------------------------
 
-    def add(self, a, b):
-        m = self.coord_mod
-        return tuple((x + y) % m for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        m = self.coord_mod
-        return tuple((x - y) % m for x, y in zip(a, b))
-
-    def neg(self, a):
-        m = self.coord_mod
-        return tuple(-x % m for x in a)
-
     def mul(self, a, b):
         if self.w == 1:
             return (a[0] * b[0] % self.coord_mod,)
@@ -509,18 +507,6 @@ class Ring:
         pack = self._pack
         return self._unpack(_mulmod(pack(a + (0,)), pack(b + (0,)), self._mpack, self.p))
 
-    def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if self.w == 1:
-            return (pow(a[0], e, self.coord_mod),)
-        return square_and_multiply(self.mul, a, e) if e else self.one
-
-    def structure_tensor(self):
-        """(w, w, w) structure tensor of this instance's ``mul`` on the
-        coordinate basis."""
-        return tensor_from_mul(self.mul, self.w)
-
     def int_mul(self, a, k: int):
         """k-fold sum of a (k may be any integer)."""
         k %= self.characteristic
@@ -532,9 +518,6 @@ class Ring:
             base = self.add(base, base)
             k >>= 1
         return result
-
-    def from_int(self, k: int):
-        return (k % self.coord_mod,) + (0,) * (self.w - 1)
 
     # -- valuation / units --------------------------------------------------
 
@@ -659,31 +642,6 @@ class Ring:
         if any(not 0 <= c < self.coord_mod for c in coords):
             raise ValueError("coordinate out of range")
         return coords
-
-    def index(self, a) -> int:
-        k = 0
-        for c in reversed(a):
-            k = k * self.coord_mod + c
-        return k
-
-    def from_index(self, k: int):
-        k = operator.index(k)
-        if not 0 <= k < self.size:
-            raise ValueError(f"index {k} out of range for {self.label}")
-        M = self.coord_mod
-        coords = []
-        for _ in range(self.w):
-            k, c = divmod(k, M)
-            coords.append(c)
-        return tuple(coords)
-
-    def elements(self):
-        # index order: coordinate 0 varies fastest
-        for tup in itertools.product(range(self.coord_mod), repeat=self.w):
-            yield tup[::-1]
-
-    def rand(self, rng: random.Random):
-        return self.from_index(rng.randrange(self.size))
 
     def encode(self, a) -> bytes:
         wdt = self.coeff_width

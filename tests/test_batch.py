@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from truncgrp import Mat, mat_coords, mat_from_coords, ring_make
 from truncgrp import ring as ringmod
 from truncgrp.batch import BatchRing
+from truncgrp.matrix import determinant
 
 
 def _rand_mat(R, n, rng):
@@ -32,6 +33,18 @@ def test_batch_matmul_agrees_with_scalar(rng):
                                 br.block(np.array([mat_coords(b)])))
                 got = mat_from_coords(R, br.unblock(blk, n)[0])
                 assert got == a * b
+
+
+@pytest.mark.parametrize("kind", ["witt", "poly"])
+def test_batched_determinant_agrees_with_scalar(kind, rng):
+    # the SL corner solve runs determinant on coordinate stacks
+    R = ring_make(kind, 3, 2, 2)
+    br = BatchRing.get(R)
+    for n in (1, 2, 3, 4):
+        mats = [_rand_mat(R, n, rng) for _ in range(6)]
+        coords = np.array([mat_coords(m) for m in mats])
+        got = determinant(br, np.moveaxis(coords, 0, 2))
+        assert [tuple(row) for row in got.tolist()] == [m.det() for m in mats]
 
 
 def test_block_unblock_roundtrip(rng):

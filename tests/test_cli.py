@@ -61,6 +61,17 @@ def test_exit_code_membership_error(capsys):
     assert "error:" in err
 
 
+def test_exit_code_non_member_without_unit_pivot(capsys):
+    # t * I_10: no entry is a unit, and the determinant t^10 = 0 is found
+    # without a factorial expansion
+    literal = ";".join(",".join("t" if i == j else "0" for j in range(10)) for i in range(10))
+    rc = main(["order", "-n", "10", "--kind", "poly", "-p", "2", "-r", "2",
+               "--matrix", literal])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: matrix is not in GL_10(F_2[t]/t^2)\n"
+
+
 def test_exit_code_parse_error(capsys):
     rc = main(["order", "--family", "GL", "-n", "2", "--kind", "witt", "-p",
                "2", "-r", "2", "--matrix", "1,0;0,zq"])

@@ -1,4 +1,6 @@
 
+import time
+
 import pytest
 
 from truncgrp import (GroupDesc, Mat, MembershipError, NonUnitError,
@@ -38,7 +40,7 @@ def _brute_order(m):
 def test_det_matches_cofactor_expansion(rng):
     for kind, p, f, r in [("witt", 2, 1, 3), ("poly", 2, 1, 2), ("witt", 3, 1, 2)]:
         R = ring_make(kind, p, f, r)
-        for n in (1, 2, 3, 5):
+        for n in (1, 2, 3, 4, 5, 6):
             for _ in range(15):
                 m = _rand_mat(R, n, rng)
                 assert m.det() == _det_cofactor(R, [list(row) for row in m.rows])
@@ -265,12 +267,6 @@ def test_b_matrix_vanishes_mod_pi_for_large_p(rng):
             assert g ** 5 == (A ** 5) + B.scale(R.pi)
 
 
-def test_b_matrix_validates_p():
-    R = ring_make("poly", 5, 1, 2)
-    with pytest.raises(ValueError):
-        b_matrix(Mat.identity(R, 2), Mat.zero(R, 2), p=7)
-
-
 # ---------------------------------------------------------------------------
 # Sylow streams and p-exponents
 
@@ -416,7 +412,7 @@ def test_contains_checks_ring_and_det():
 
 
 def test_unit_pivot_elimination_handles_pi_blocks():
-    # a 5x5 determinant whose elimination hits non-unit pivots
+    # a 5x5 determinant with non-unit diagonal blocks
     R = ring_make("poly", 2, 1, 2)
     t = R.pi
     rows = [[R.zero] * 5 for _ in range(5)]
@@ -430,6 +426,33 @@ def test_unit_pivot_elimination_handles_pi_blocks():
     m2 = Mat(R, rows)
     assert m2.det() == R.zero  # t^2 = 0
     assert _det_cofactor(R, rows) == R.zero
+
+
+def test_det_of_10x10_non_units_is_exact_within_budget(rng):
+    # no unit pivot exists in pi*I or below row 2 of the second matrix;
+    # the determinant must not fall back to a factorial expansion there
+    for kind in ("poly", "witt"):
+        R = ring_make(kind, 2, 1, 12)
+        n, pi = 10, R.pi
+        start = time.perf_counter()
+        assert Mat.identity(R, n).scale(pi).det() == R.pow(pi, n)
+        # [[U, B], [0, pi L]] V with U, V upper and L lower unitriangular
+        # has det pi^8, and every entry of its last 8 rows is a non-unit
+        rows = [[R.zero] * n for _ in range(n)]
+        V = Mat.identity(R, n)
+        for i in range(n):
+            for j in range(n):
+                if i < 2 <= j or i < j < 2:
+                    rows[i][j] = R.rand(rng)
+                elif 2 <= j < i:
+                    rows[i][j] = R.mul(pi, R.rand(rng))
+                if i < j:
+                    V = V.with_entry(i, j, R.rand(rng))
+            rows[i][i] = R.one if i < 2 else pi
+        m = Mat(R, rows) * V
+        assert all(not R.is_unit(a) for row in m.rows[2:] for a in row)
+        assert m.det() == R.pow(pi, n - 2)
+        assert time.perf_counter() - start < 2.0
 
 
 def test_mat_is_hashable_and_immutable():

@@ -251,6 +251,28 @@ def test_every_element_is_its_flat_coordinate_tuple(kind, p, f, r, data):
         assert list(R.elements()) == [R.from_index(k) for k in range(R.size)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["witt", "poly"]), p=st.sampled_from([2, 3, 5, 7]),
+       f=st.integers(1, 3), data=st.data())
+def test_field_is_the_length_one_ring(kind, p, f, data):
+    F, R = field_make(p, f), ring_make(kind, p, f, 1)
+    assert (F.w, F.coord_mod, F.size, F.zero, F.one) == (R.w, R.coord_mod, R.size, R.zero, R.one)
+    ks = data.draw(st.lists(st.integers(0, F.size - 1), min_size=2, max_size=2))
+    a, b = (F.from_index(k) for k in ks)
+    assert [R.from_index(k) for k in ks] == [a, b]
+    assert [F.index(a), F.index(b)] == [R.index(a), R.index(b)] == ks
+    k = data.draw(st.integers(-1000, 1000))
+    e = data.draw(st.integers(-40, 40)) if a != F.zero else data.draw(st.integers(0, 40))
+    assert F.from_int(k) == R.from_int(k)
+    assert (F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b), F.pow(a, e)) == \
+        (R.add(a, b), R.sub(a, b), R.neg(a), R.mul(a, b), R.pow(a, e))
+    assert np.array_equal(F.structure_tensor(), R.structure_tensor())
+    seed = data.draw(st.integers(0, 2 ** 32))
+    assert F.rand(random.Random(seed)) == R.rand(random.Random(seed))
+    if F.size <= 125:
+        assert list(F.elements()) == list(R.elements())
+
+
 def test_index_and_coords_roundtrip():
     for kind, p, f, r in [("witt", 3, 1, 2), ("witt", 2, 2, 2), ("poly", 3, 2, 2)]:
         R = ring_make(kind, p, f, r)
@@ -261,10 +283,11 @@ def test_index_and_coords_roundtrip():
             assert R.from_coords(a) == a
 
 
-@pytest.mark.parametrize("kind, p, f, r", [("poly", 3, 1, 2), ("witt", 3, 1, 2), ("poly", 2, 2, 2)])
+@pytest.mark.parametrize("kind, p, f, r", [("poly", 3, 1, 2), ("witt", 3, 1, 2), ("poly", 2, 2, 2),
+                                           ("field", 3, 2, 1)])
 def test_from_index_rejects_out_of_range(kind, p, f, r):
-    R = ring_make(kind, p, f, r)
-    assert R.from_index(R.size - 1) == R.from_coords([R.coord_mod - 1] * R.w)
+    R = field_make(p, f) if kind == "field" else ring_make(kind, p, f, r)
+    assert R.from_index(R.size - 1) == (R.coord_mod - 1,) * R.w
     for k in (R.size, R.size + 1, -1):
         with pytest.raises(ValueError):
             R.from_index(k)
