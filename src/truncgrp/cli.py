@@ -9,8 +9,9 @@ Commands:
   compare         Witt-kind vs poly-kind group of the same shape
   verify          run named consistency checks (or 'all')
 
-Reports print as text, JSON, or CSV; --canonical zeroes timings so two
-runs with the same arguments are byte-identical.
+Reports print as text, JSON, or CSV; --canonical zeroes timings and
+leaves out the cache directory, so two runs with the same arguments are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -507,7 +508,8 @@ def build_parser():
         description="group invariants over truncated local rings")
     ap.add_argument("--format", choices=["text", "json", "csv"], default="text")
     ap.add_argument("--canonical", action="store_true",
-                    help="zero out timings for byte-stable output")
+                    help="zero out timings and leave out the cache directory "
+                         "for byte-stable output")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--cache-dir",
                     default=os.environ.get("TRUNCGRP_CACHE_DIR"))
@@ -569,8 +571,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - t0
+    # the cache directory changes no result, so canonical reports omit it
+    hidden = {"func", "format", "canonical"}
+    if args.canonical:
+        hidden.add("cache_dir")
     params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "format", "canonical") and v is not None}
+              if k not in hidden and v is not None}
     report = Report(args.command, params, results, elapsed, args.seed,
                     args.canonical)
     out = report.render(args.format)

@@ -12,6 +12,15 @@ and reports whether the profiles tell them apart.
 All ids, class labels, and cache bytes are deterministic functions of
 (family, n, kind, p, f, r): generator order is fixed, BFS batches have
 a fixed size, and classes are relabeled by their smallest element id.
+
+Elements are found by their ``BatchRing.encode`` keys, which lie in
+[0, K) with K = M^(n n w) = |R|^(n n).  ``KeyIndex`` is a bitmap over
+that range with the count of set bits before each 64-bit word: the BFS
+asks it which products are new, and ``ElementTable`` turns a key's rank
+into an id.  It takes about K/4 bytes, 133 KB for GL_2 over Z/27 and
+F_3[t]/t^3.  Under ``CLASS_CAP`` the largest K of a group with
+generators is 81^4 (SL_2 over a ring of 81 elements, 11 MB), so one
+code path serves every group and no sorted-key search is kept beside it.
 """
 
 from __future__ import annotations
@@ -78,6 +87,56 @@ def generators(group: GroupDesc) -> list[Mat]:
     return gens
 
 
+class KeyIndex:
+    """A set of integer keys in [0, size), one bit per key in uint64 words.
+
+    ``rank`` gives each key's position among the set's keys in ascending
+    order, as ``np.searchsorted`` over the sorted keys would: the set
+    bits in the words below the key's word (counted once per ``add``)
+    plus the set bits below the key in its own word.  Bits and counts
+    take about size/4 bytes.  A key at or above ``size`` reads as the
+    always clear bit ``size``: absent, with rank ``len(self)``.
+    """
+
+    def __init__(self, size: int):
+        self.size = int(size)
+        self.words = np.zeros(self.size // 64 + 1, dtype=np.uint64)
+        self._before = None
+
+    def __len__(self):
+        return int(self._counts()[-1])
+
+    def _locate(self, keys):
+        k = np.minimum(np.asarray(keys, dtype=np.int64), self.size)
+        return k >> 6, np.left_shift(np.uint64(1), (k & 63).astype(np.uint64))
+
+    def _counts(self):
+        """Set bits before each word, and the total as a last entry."""
+        if self._before is None:
+            self._before = np.zeros(len(self.words) + 1, dtype=np.int64)
+            np.cumsum(np.bitwise_count(self.words), out=self._before[1:])
+        return self._before
+
+    def add(self, keys) -> None:
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.size and not 0 <= keys.min() <= keys.max() < self.size:
+            raise ValueError(f"key outside [0, {self.size})")
+        np.bitwise_or.at(self.words, *self._locate(keys))
+        self._before = None
+
+    def contains(self, keys) -> np.ndarray:
+        word, bit = self._locate(keys)
+        return (self.words[word] & bit) != 0
+
+    def rank(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """(position among the set's keys in ascending order, whether
+        present) for each key."""
+        word, bit = self._locate(keys)
+        w = self.words[word]
+        return (self._counts()[word] + np.bitwise_count(w & (bit - 1)),
+                (w & bit) != 0)
+
+
 class ElementTable:
     """All group elements, coordinate arrays indexed by a stable id."""
 
@@ -86,11 +145,15 @@ class ElementTable:
         self.ring = group.ring
         self.batch = BatchRing.get(group.ring)
         self.coords = np.ascontiguousarray(coords, dtype=self.batch.coord_dtype)
-        self.keys = self.batch.encode(self.coords)
-        self.sort_perm = np.argsort(self.keys, kind="stable")
-        self.sorted_keys = self.keys[self.sort_perm]
-        if len(self.sorted_keys) > 1 and not (np.diff(self.sorted_keys) != 0).all():
+        keys = self.batch.encode(self.coords)
+        # sized by the largest key, not M^(n n w): SL_1 over F_2[t]/t^40
+        # has one element but 2^40 possible keys
+        self.index = KeyIndex(int(keys.max()) + 1)
+        self.index.add(keys)
+        if len(self.index) != len(keys):
             raise ClosureMismatchError("duplicate elements in table")
+        self.sort_perm = np.empty(len(keys), dtype=np.int64)
+        self.sort_perm[self.index.rank(keys)[0]] = np.arange(len(keys))
 
     def __len__(self):
         return len(self.coords)
@@ -99,20 +162,18 @@ class ElementTable:
         return mat_from_coords(self.ring, self.coords[i])
 
     def ids_from_keys(self, keys: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self.sorted_keys, keys)
-        pos = np.minimum(pos, len(self.sorted_keys) - 1)
-        if not (self.sorted_keys[pos] == keys).all():
+        pos, present = self.index.rank(keys)
+        if not present.all():
             raise ClosureMismatchError("product left the enumerated set")
         return self.sort_perm[pos]
 
     def id_of(self, mat: Mat) -> int:
         if mat.ring != self.ring or mat.n != self.group.n:
             raise MembershipError("matrix shape or base ring mismatch")
-        key = self.batch.encode(mat_coords(mat)[None])
-        pos = int(np.searchsorted(self.sorted_keys, key[0]))
-        if pos >= len(self.sorted_keys) or self.sorted_keys[pos] != key[0]:
+        pos, present = self.index.rank(self.batch.encode(mat_coords(mat)[None]))
+        if not present[0]:
             raise MembershipError(f"matrix is not in {self.group.label}")
-        return int(self.sort_perm[pos])
+        return int(self.sort_perm[pos[0]])
 
     def blocks(self) -> np.ndarray:
         return self.batch.block(self.coords)
@@ -135,9 +196,11 @@ def enumerate_group(group: GroupDesc, cap: int = CLASS_CAP) -> ElementTable:
     gens = generators(group)
     ident = mat_coords(group.identity_mat()).astype(br.coord_dtype)
     chunks = [ident[None]]
-    master = br.encode(ident[None])
     total = 1
     if gens:
+        # the whole key range: at most 81^4 keys (module docstring)
+        seen = KeyIndex(br.M ** (n * n * br.w))
+        seen.add(br.encode(ident[None]))
         gen_blocks = br.block(np.stack([mat_coords(g) for g in gens]))
         frontier = deque([ident[None]])
         while frontier:
@@ -146,11 +209,9 @@ def enumerate_group(group: GroupDesc, cap: int = CLASS_CAP) -> ElementTable:
                                    for j in range(len(gens))])
             coords = br.unblock(cand, n)
             keys = br.encode(coords)
-            _, uidx = np.unique(keys, return_index=True)
-            uidx = np.sort(uidx)
-            keys_u = keys[uidx]
-            pos = np.minimum(np.searchsorted(master, keys_u), len(master) - 1)
-            fresh = uidx[master[pos] != keys_u]
+            unseen = np.flatnonzero(~seen.contains(keys))
+            _, first = np.unique(keys[unseen], return_index=True)
+            fresh = unseen[np.sort(first)]
             if fresh.size:
                 new_coords = coords[fresh].astype(br.coord_dtype)
                 total += len(new_coords)
@@ -160,7 +221,7 @@ def enumerate_group(group: GroupDesc, cap: int = CLASS_CAP) -> ElementTable:
                 chunks.append(new_coords)
                 for s in range(0, len(new_coords), _BFS_CHUNK):
                     frontier.append(new_coords[s:s + _BFS_CHUNK])
-                master = np.sort(np.concatenate([master, keys[fresh]]))
+                seen.add(keys[fresh])
     all_coords = np.concatenate(chunks)
     if len(all_coords) != expected:
         raise ClosureMismatchError(
@@ -470,6 +531,9 @@ def load_cache(path, group: GroupDesc):
         log.warning("cache %s: wrong payload size, ignoring", path)
         return None
     coords = np.frombuffer(payload[:coords_len], dtype=f"<u{coord_bytes}")
+    if coords.max() >= R.coord_mod:
+        log.warning("cache %s: coordinates out of range, ignoring", path)
+        return None
     coords = coords.reshape(size, group.n, group.n, w).astype(
         BatchRing.get(R).coord_dtype)
     class_of = np.frombuffer(payload[coords_len:], dtype="<u4").astype(np.int32)

@@ -52,6 +52,20 @@ def test_canonical_output_is_byte_stable(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_canonical_output_leaves_out_the_cache_dir(tmp_path, capsys, fmt):
+    cmd = ["compare", "-n", "2", "-p", "2", "-r", "2"]
+    outs = []
+    for d in ("a", "b"):
+        assert main(["--cache-dir", str(tmp_path / d), "--format", fmt,
+                     "--canonical"] + cmd) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "cache_dir" not in outs[0]
+    assert main(["--cache-dir", str(tmp_path / "a"), "--format", fmt] + cmd) == 0
+    assert str(tmp_path / "a") in capsys.readouterr().out
+
+
 def test_exit_code_membership_error(capsys):
     # de = 2 is not a unit mod 4, so the matrix is outside GL_2
     rc = main(["order", "--family", "GL", "-n", "2", "--kind", "witt", "-p",

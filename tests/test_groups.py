@@ -1,16 +1,22 @@
 import hashlib
+import logging
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from truncgrp import (CapExceededError, GroupDesc, Mat, MembershipError,
-                      build_power_map, class_power_map, compare_groups,
-                      conjugacy_classes, element_order, enumerate_group,
-                      generators, kuelshammer_profile, load_cache,
-                      partition_for, ring_make,
+from truncgrp import (CapExceededError, ClosureMismatchError, GroupDesc, Mat,
+                      MembershipError, build_power_map, class_power_map,
+                      compare_groups, conjugacy_classes, element_order,
+                      enumerate_group, generators, kuelshammer_profile,
+                      load_cache, partition_for, ring_make,
                       save_cache, proven_regime)
 from truncgrp import groups
-from truncgrp.groups import cache_slug
+from truncgrp.groups import ElementTable, KeyIndex, cache_slug
+from truncgrp.matrix import mat_coords
 
 
 def _group(fam, n, kind, p, f, r):
@@ -36,6 +42,7 @@ def test_enumerated_sizes_match_order_formula():
         ("GL", 1, "witt", 3, 1, 2, 6),       # (Z/9)^x
         ("GL", 1, "witt", 2, 1, 3, 4),       # (Z/8)^x
         ("SL", 1, "poly", 3, 1, 2, 1),       # trivial
+        ("SL", 1, "poly", 2, 1, 40, 1),      # trivial, 2^40 possible keys
         ("GL", 2, "poly", 3, 1, 2, 3888),
     ]
     for fam, n, kind, p, f, r, size in cases:
@@ -62,14 +69,86 @@ def test_enumeration_cap():
         enumerate_group(grp, cap=1000)
 
 
+def _outsider(R):
+    """diag(1, 1 + pi): in GL_2, not in SL_2."""
+    return Mat(R, [[R.one, R.zero], [R.zero, R.add(R.one, R.pi)]])
+
+
 def test_table_lookup_roundtrip():
+    for kind in ("witt", "poly"):
+        grp, table, _ = _pipeline("SL", 2, kind, 2, 1, 2)
+        for i in range(len(table)):
+            assert table.id_of(table.mat(i)) == i
+        with pytest.raises(MembershipError):
+            table.id_of(_outsider(grp.ring))
+
+
+def test_table_rejects_keys_outside_it():
+    grp, table, _ = _pipeline("SL", 2, "poly", 2, 1, 2)
+    br = table.batch
+    inside = br.encode(table.coords[[3, 0]])
+    assert list(table.ids_from_keys(inside)) == [3, 0]
+    outsider = br.encode(mat_coords(_outsider(grp.ring))[None])
+    largest = br.M ** (2 * 2 * br.w) - 1  # every coordinate M - 1
+    for key in (outsider[0], largest):
+        with pytest.raises(ClosureMismatchError):
+            table.ids_from_keys(np.append(inside, key))
+
+
+def test_table_rejects_duplicate_elements():
     grp, table, _ = _pipeline("SL", 2, "witt", 2, 1, 2)
-    for i in (0, 1, 17, 47):
-        assert table.id_of(table.mat(i)) == i
-    R = grp.ring
-    outsider = Mat(R, [[R.one, R.zero], [R.zero, R.from_int(3)]])
-    with pytest.raises(MembershipError):
-        table.id_of(outsider)
+    with pytest.raises(ClosureMismatchError, match="duplicate"):
+        ElementTable(grp, np.concatenate([table.coords, table.coords[5:6]]))
+
+
+# ---------------------------------------------------------------------------
+# key index
+
+def _check_key_index(size, keys, queries):
+    """contains and rank against np.isin and np.searchsorted over the
+    sorted keys, after each of two adds (the second repeats a key)."""
+    keys = np.array(keys, dtype=np.int64)
+    queries = np.array(list(queries) + list(keys), dtype=np.int64)
+    idx = KeyIndex(size)
+    for added, part in ((keys[::2], keys[::2]),
+                        (keys, np.append(keys[1::2], keys[:1]))):
+        idx.add(part)
+        added = np.sort(added)
+        assert len(idx) == len(added)
+        assert np.array_equal(idx.contains(queries), np.isin(queries, added))
+        pos, present = idx.rank(queries)
+        assert np.array_equal(present, np.isin(queries, added))
+        assert np.array_equal(pos, np.searchsorted(added, queries))
+
+
+@pytest.mark.parametrize("size, keys", [
+    (192, [0, 63, 64, 191]),        # word boundaries, K a multiple of 64
+    (130, [0, 63, 64, 129]),        # K not a multiple of 64
+    (130, []),                      # empty set
+    (1, []),
+    (1, [0]),
+    (64, [63]),
+    # the headline pair's key range, sparsely filled
+    (531_441, np.random.default_rng(0).choice(531_441, 5000, replace=False)),
+])
+def test_key_index_edges(size, keys):
+    _check_key_index(size, keys, range(size + 70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), size=st.integers(1, 1000))
+def test_key_index_agrees_with_sorted_search(data, size):
+    keys = data.draw(st.lists(st.integers(0, size - 1), unique=True))
+    queries = data.draw(st.lists(st.integers(0, size + 100)))
+    _check_key_index(size, keys, queries)
+
+
+def test_key_index_add_rejects_keys_outside_its_range():
+    idx = KeyIndex(100)
+    for bad in ([100], [-1], [5, 1 << 40]):
+        with pytest.raises(ValueError):
+            idx.add(np.array(bad))
+    assert len(idx) == 0
 
 
 def test_generator_counts_follow_layout():
@@ -305,6 +384,43 @@ def test_cache_rejects_corruption(tmp_path):
     assert load_cache(tmp_path / "missing.kkg", grp) is None
 
 
+def _rewrite_elements(path, edit):
+    """Apply edit to the coordinate bytes of a cache file (one row per
+    element) and write it back with a valid checksum."""
+    body = bytearray(path.read_bytes()[:-4])
+    size = groups._HEADER.unpack_from(body)[9]
+    start = groups._HEADER.size
+    coords_len = (len(body) - start) - 4 * size
+    rows = np.frombuffer(body[start:start + coords_len], np.uint8).reshape(size, -1).copy()
+    edit(rows)
+    body[start:start + coords_len] = rows.tobytes()
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
+
+def _repeat_first_element(rows):
+    rows[1] = rows[0]
+
+
+def _put_4_in_z_mod_4(rows):
+    rows[1, 0] = 4
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_repeat_first_element, "duplicate elements"),
+    (_put_4_in_z_mod_4, "coordinates out of range"),
+], ids=["duplicate", "out-of-range"])
+def test_cache_rejects_bad_elements_with_valid_checksum(tmp_path, caplog, edit, reason):
+    grp, _, part = _pipeline("SL", 2, "witt", 2, 1, 2)  # Z/4: one byte per entry
+    path = tmp_path / "x.kkg"
+    save_cache(path, part)
+    _rewrite_elements(path, lambda rows: None)
+    assert load_cache(path, grp) is not None
+    _rewrite_elements(path, edit)
+    with caplog.at_level(logging.WARNING, logger="truncgrp.groups"):
+        assert load_cache(path, grp) is None
+    assert reason in caplog.text
+
+
 def test_cache_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):
     grp, _, part = _pipeline("SL", 2, "witt", 2, 1, 2)
     path = tmp_path / "x.kkg"
@@ -335,20 +451,24 @@ def test_cache_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch)
 
 
 _CACHE_DIGESTS = [
-    ("GL", "poly", 2, 1, 2, "aa9612968b92309b7ba25f81f5d242c8255cc05116f75aa2fb0ee8c9be06d521"),
-    ("SL", "witt", 2, 1, 2, "1cc2f86ea55a95016858bd4918e1b653f8172252afd2356017983025442bdded"),
+    ("GL", 2, "poly", 2, 1, 2, "aa9612968b92309b7ba25f81f5d242c8255cc05116f75aa2fb0ee8c9be06d521"),
+    ("SL", 2, "witt", 2, 1, 2, "1cc2f86ea55a95016858bd4918e1b653f8172252afd2356017983025442bdded"),
     # several t-slices and several coordinates per slice (F_4[t]/t^2, F_3[t]/t^3)
-    ("GL", "poly", 2, 2, 2, "10aec036796f1cc92c38d5cde7cf154db94b49d0e9d18bc035acc9fbefbfde5b"),
-    ("SL", "poly", 3, 1, 3, "c75650b832953df4289542e1e1b688ef81d22f3e94bc332f583debcfde634ea5"),
+    ("GL", 2, "poly", 2, 2, 2, "10aec036796f1cc92c38d5cde7cf154db94b49d0e9d18bc035acc9fbefbfde5b"),
+    ("SL", 2, "poly", 3, 1, 3, "c75650b832953df4289542e1e1b688ef81d22f3e94bc332f583debcfde634ea5"),
+    # 43,008 elements: the BFS order across more than one _BFS_CHUNK
+    ("SL", 3, "poly", 2, 1, 2, "225a6a0b0ca0b159947b5289664082d1e2b099b56c5ef8e36ff6f9e80096679d"),
+    ("SL", 3, "witt", 2, 1, 2, "c868e493f2f6803ed158795a6793151de08029ee073175d634688a50c1f8f923"),
 ]
 
 
-@pytest.mark.parametrize("fam, kind, p, f, r, sha256", _CACHE_DIGESTS,
-                         ids=[f"{c[0]}-{c[1]}-{c[-1]}" for c in _CACHE_DIGESTS])
-def test_cache_bytes_pinned(tmp_path, fam, kind, p, f, r, sha256):
+@pytest.mark.parametrize("fam, n, kind, p, f, r, sha256", _CACHE_DIGESTS,
+                         ids=[f"{c[0]}-{c[2]}-{c[-1]}" for c in _CACHE_DIGESTS])
+def test_cache_bytes_pinned(tmp_path, fam, n, kind, p, f, r, sha256):
     # digests of files written by earlier code: a plain write_bytes before
-    # the rename (first two), the dense-block batch arithmetic (last two)
-    _, _, part = _pipeline(fam, 2, kind, p, f, r)
+    # the rename (first two), the dense-block batch arithmetic (next two),
+    # the sorted-key BFS (last two)
+    _, _, part = _pipeline(fam, n, kind, p, f, r)
     path = tmp_path / "x.kkg"
     save_cache(path, part)
     save_cache(path, part)  # replaces an existing file
