@@ -255,21 +255,21 @@ def conjugacy_classes(table: ElementTable) -> Partition:
     br = table.batch
     n = group.n
     N = len(table)
+    gens = generators(group)
+    if not gens:  # the trivial group, whose blocks may not fit any dtype
+        return Partition(table, np.arange(N), N)
     blocks = table.blocks()
     rows = []
     cols = []
-    for s in generators(group):
+    for s in gens:
         sb = br.block(mat_coords(s))
         sbi = br.block(mat_coords(s.inverse()))
         conj = br.matmul(br.matmul(sb, blocks), sbi)
         ids = table.ids_from_keys(br.encode(br.unblock(conj, n)))
         rows.append(np.arange(N, dtype=np.int32))
         cols.append(ids.astype(np.int32))
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-    else:
-        r = c = np.zeros(0, dtype=np.int32)
+    r = np.concatenate(rows)
+    c = np.concatenate(cols)
     graph = coo_matrix((np.ones(len(r), dtype=np.int8), (r, c)), shape=(N, N))
     ncls, labels = connected_components(graph, directed=True, connection="weak")
     _, first = np.unique(labels, return_index=True)

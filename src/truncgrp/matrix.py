@@ -309,12 +309,10 @@ def exponent_multiple(group: GroupDesc) -> dict:
     field; the p-part p^(ceil(log_p n) + r - 1) covers unipotents and
     the congruence kernel (one factor of p per extra length step).
     """
-    from sympy import factorint
-
     R = group.ring
     factors = {R.p: _ceil_log(R.p, group.n) + R.r - 1}
     for d in range(1, group.n + 1):
-        for ell, e in factorint(R.q ** d - 1).items():
+        for ell, e in ringmod._factorize(R.q ** d - 1).items():
             factors[ell] = max(factors.get(ell, 0), e)
     return factors
 

@@ -26,14 +26,13 @@ ORACLE_CAP = 300
 class AlgebraTable:
     """Multiplication table of a group algebra F_p G, identity at id 0."""
 
-    def __init__(self, p: int, mult: np.ndarray, check: bool = True):
+    def __init__(self, p: int, mult: np.ndarray):
         self.p = int(p)
         self.mult = np.asarray(mult, dtype=np.int64)
         self.dim = self.mult.shape[0]
         if self.mult.shape != (self.dim, self.dim):
             raise ValueError("mult table must be square")
-        if check:
-            self._check()
+        self._check()
         self.inv = np.argmax(self.mult == 0, axis=1)
         if not (self.mult[self.inv, np.arange(self.dim)] == 0).all():
             raise ArithmeticError("left and right inverses disagree")

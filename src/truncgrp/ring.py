@@ -31,6 +31,9 @@ and the irreducibility test behind the modulus scan for its powers of x
 (``batch.square_and_multiply``) and its gcd remainders.  Only rings and
 fields with one coordinate skip it.
 
+One factoriser, ``_factorize``, splits f for the irreducibility test and
+q^d - 1 for ``Fq.multiplicative_generator`` and ``matrix.exponent_multiple``.
+
 Fq and Ring share ``_FlatTuples``: every operation but ``mul`` and
 ``inv`` that needs only w, coord_mod and the element count ``size``,
 so on all of them F_q is the length-1 ring of either kind.
@@ -42,7 +45,7 @@ Byte encoding (version 1): the coordinates, each little-endian in the
 fixed width of coord_mod - 1.
 
 Self test: ``Ring.selftest`` runs its exhaustive checks (the residue
-field's Fermat identity for f > 1, cardinality, unit count, the digit
+field's Fermat identity, cardinality, unit count, the digit
 round trip, and Teichmueller multiplicativity when q^2 is within the
 cap) on numpy coordinate arrays in chunks of ``_SELFTEST_CHUNK``
 elements.  Products there come from ``structure_tensor``, which the
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 import re
@@ -111,18 +115,30 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _factorize(n: int) -> dict:
+    """{prime: exponent} of n >= 1, primes ascending.  A cofactor that
+    ``_is_prime`` rejects is split by its least divisor below 1000, else
+    by isqrt when that divides it (rho would need about sqrt(p) steps
+    for p^2), else by Brent's variant of Pollard rho."""
+    out, todo = {}, [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = next((s for s in range(2, 1000) if m % s == 0), math.isqrt(m))
+        c = 0
+        while m % d or d == m:  # rho on y -> y^2 + c; next c if it closes mod m
+            c += 1
+            y, r, k, d = 2, 1, 1, 1
+            while d == 1:
+                if k == r:  # Brent: move x to y at each power of two
+                    x, r, k = y, 2 * r, 0
+                y = (y * y + c) % m
+                k += 1
+                d = math.gcd(y - x, m)
+        todo += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 def _index_coords(indices, M, w):
@@ -204,7 +220,7 @@ def _is_irreducible(m, p):
     mul = functools.partial(_mulmod, m=m, M=p)
     if square_and_multiply(mul, x, p ** f) != x:
         return False
-    for ell in _prime_divisors(f):
+    for ell in _factorize(f):
         diff = list(square_and_multiply(mul, x, p ** (f // ell)))
         diff[1] = (diff[1] - 1) % p
         if len(_pgcd(diff, m, p)) > 1:
@@ -349,30 +365,19 @@ class Fq(_FlatTuples):
         """Witness that a^q != a for some element, or None; memoized.
 
         Exhaustive for q <= cap (skipped above), using f-fold Frobenius
-        so the exponent never exceeds p.  For f > 1 the elements run as
-        coordinate arrays in chunks, multiplied through
-        ``structure_tensor``; a few of them also run through the scalar
-        ``frobenius``, and one whose two results differ is a witness too.
-        The witness is the first in index order.
+        so the exponent never exceeds p.  The elements run as coordinate
+        arrays in chunks, multiplied through ``structure_tensor``; a few
+        of them also run through the scalar ``frobenius``, and one whose
+        two results differ is a witness too.  The witness is the first in
+        index order.
         """
         if self._fermat == "unchecked":
-            bad = None
-            if self.q <= cap:
-                if self.f == 1:
-                    p = self.p
-                    for k in range(p):
-                        if pow(k, p, p) != k:
-                            bad = (k,)
-                            break
-                else:
-                    k = self._fermat_failure()
-                    bad = None if k is None else self.from_index(k)
-            self._fermat = bad
+            self._fermat = None if self.q > cap else self._fermat_failure()
         return self._fermat
 
     def _fermat_failure(self):
-        """Index of the first element with a^q != a, or that the batch and
-        the scalar Frobenius disagree on."""
+        """First element, in index order, with a^q != a or on which the
+        batch and the scalar Frobenius disagree; None if there is none."""
         p, f, q = self.p, self.f, self.q
         mul = functools.partial(tensor_mul, self.structure_tensor(), p)
 
@@ -396,20 +401,17 @@ class Fq(_FlatTuples):
             if rows.size:
                 bad.append(start + int(rows[0]))
                 break
-        return min(bad, default=None)
+        return self.from_index(min(bad)) if bad else None
 
     def multiplicative_generator(self) -> tuple:
         """First element of F_q^x, in index order, of order q - 1."""
         if self._gen is None:
-            from sympy import factorint
-            cofactors = [(self.q - 1) // ell for ell in factorint(self.q - 1)]
+            cofactors = [(self.q - 1) // ell for ell in _factorize(self.q - 1)]
             for k in range(1, self.q):
                 a = self.from_index(k)
                 if all(self.pow(a, c) != self.one for c in cofactors):
                     self._gen = a
                     break
-            else:  # q = 2
-                self._gen = self.one
         return self._gen
 
     def render(self, a) -> str:

@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import truncgrp
 from truncgrp import (GroupDesc, conjugacy_classes, enumerate_group,
                       kuelshammer_profile, ring_make)
 from truncgrp.cli import ORACLE_GROUPS, main
@@ -162,6 +166,34 @@ def test_classes_command_lists_sizes(capsys):
     assert data["results"]["order"] == 48
     assert data["results"]["num_classes"] == 10
     assert sum(data["results"]["class_sizes"]) == 48
+
+
+def test_classes_of_the_trivial_group_need_no_products(capsys):
+    # SL_1 over Z/2^40: its blocks would overflow int64, but with no
+    # generators the one class needs no product
+    rc = main(["--format", "json", "classes", "--family", "SL", "-n", "1",
+               "--kind", "witt", "-p", "2", "-r", "40"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert data["results"]["num_classes"] == 1
+
+
+@pytest.mark.parametrize("args", [
+    WITNESS,
+    ["kuelshammer", "-n", "2", "--kind", "witt", "-p", "3", "-r", "1"],
+    ["compare", "-n", "2", "-p", "3", "-r", "2"],
+])
+def test_commands_run_without_sympy(args):
+    # a None entry in sys.modules makes every import of sympy raise
+    code = ("import sys; sys.modules['sympy'] = None\n"
+            "from truncgrp.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    src = os.path.dirname(os.path.dirname(truncgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("TRUNCGRP_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_compare_command_separates_pair(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Poly, symbols
+from sympy import Poly, factorint, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem, gf_strip
 
@@ -16,6 +16,8 @@ from truncgrp import (NonUnitError, ParseError, field_make, parse_element,
 from truncgrp import batch as batchmod
 from truncgrp import ring as ringmod
 from truncgrp.ring import Fq, Ring
+
+from test_acceptance import _selftest_grid
 
 
 def _naive_irreducible(coeffs, p):
@@ -573,6 +575,29 @@ def test_fq_mul_matches_sympy_galoistools(p, f, data):
     a, b = data.draw(elem), data.draw(elem)
     ref = gf_rem(gf_mul(_gf(a), _gf(b), p, ZZ), _gf(F.modulus), p, ZZ)
     assert F.mul(a, b) == _from_gf(ref, f)
+
+
+def test_factorize_matches_sympy_on_every_grid_field_order():
+    # q^d - 1 for d <= 6: the values exponent_multiple factors for n <= 6
+    fields = {(p, f) for p, f, _ in _selftest_grid()}
+    values = sorted({p ** (f * d) - 1 for p, f in fields for d in range(1, 7)})
+    assert len(values) == 335
+    for n in values:
+        got = ringmod._factorize(n)
+        assert got == factorint(n) and list(got) == sorted(got), n
+
+
+@pytest.mark.parametrize("n", [
+    1, 2, 2 ** 89 - 1,                  # a prime beyond the deterministic MR range
+    (2 ** 61 - 1) ** 2,                 # rho would need ~2^30 steps
+    3 * (2 ** 31 - 1) ** 2,
+    561, 41041,                         # Carmichael numbers
+    3215031751,                         # strong pseudoprime to bases 2, 3, 5, 7
+    2 ** 64 - 1,
+])
+def test_factorize_matches_sympy_on_edge_cases(n):
+    got = ringmod._factorize(n)
+    assert got == factorint(n) and list(got) == sorted(got)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
