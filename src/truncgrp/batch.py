@@ -1,6 +1,14 @@
 """Vectorized batch arithmetic for matrices over a truncated local ring.
 
-A matrix over the ring is held as a t-stack: an integer array of shape
+Products by fixed matrices, X -> A X B, are Z/M-linear on the
+D = n*n*w flat coordinates of X, M = coord_mod: ``product_map`` builds
+that (D, D) matrix from scalar ``Mat`` products and ``apply_map`` applies
+it to (N, D) coordinate rows with one vector addition per nonzero entry,
+in the narrowest signed dtype that holds D*(M-1)^2.  The BFS and the
+class graph multiply only by fixed generators and use this form.
+
+Where both factors vary (powers, the Sylow walk, the oracle table), a
+matrix over the ring is held as a t-stack: an integer array of shape
 (..., L, m, m) with m = n*c.  For the poly kind F_q[t]/t^r, L = r and
 c = f: slice k is the F_q-block of the t^k coefficient matrix, each
 F_q entry expanded to its c x c multiplication matrix over F_p.  For the
@@ -35,6 +43,13 @@ def _min_int_dtype(bound):
         if bound <= np.iinfo(dt).max:
             return dt
     raise OverflowError("block products would overflow int64")
+
+
+def _reduce(a, M):
+    """a %= M in place, as a - (a // M) * M: numpy divides by a scalar
+    with multiply-and-shift, several times faster than % on int8 and
+    int16."""
+    a -= a // M * M
 
 
 def tensor_from_mul(mul, w: int) -> np.ndarray:
@@ -178,7 +193,7 @@ class BatchRing:
             np.matmul(a[..., 0, :, :], b[..., k, :, :], out=ck)
             for i in range(1, k + 1):
                 ck += np.matmul(a[..., i, :, :], b[..., k - i, :, :])
-        out %= self.M
+        _reduce(out, self.M)
         return out
 
     def matpow(self, blocks: np.ndarray, e: int) -> np.ndarray:
@@ -192,6 +207,55 @@ class BatchRing:
     def is_identity(self, blocks: np.ndarray) -> np.ndarray:
         ident = self.identity(blocks.shape[-1] // self.c)
         return np.all(blocks == ident, axis=(-3, -2, -1))
+
+    # -- products by fixed matrices ----------------------------------------------
+
+    def product_map(self, n: int, left=None, right=None) -> np.ndarray:
+        """The (D, D) matrix over Z/M, D = n*n*w, of X -> left*X*right on
+        the flat coordinates of X (identity where a factor is None).
+
+        The map is Z/M-linear because the ring is a free Z/M-module on its
+        coordinates; row d is the scalar ``Mat`` product of the unit
+        coordinate matrix E_d, so the scalar layer alone fixes its entries."""
+        from .matrix import Mat, mat_coords  # matrix imports this module
+
+        R, w = self.ring, self.w
+        D = n * n * w
+        zero = Mat.zero(R, n)
+        units = [tuple(int(k == c) for c in range(w)) for k in range(w)]
+        lin = np.empty((D, D), dtype=np.int64)
+        for d in range(D):
+            i, j, k = d // (n * w), d // w % n, d % w
+            x = zero.with_entry(i, j, units[k])
+            if left is not None:
+                x = left * x
+            if right is not None:
+                x = x * right
+            lin[d] = mat_coords(x).reshape(D)
+        return lin
+
+    def apply_map(self, lin: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Images x @ lin mod M of (N, D) coordinate rows x, exactly.
+
+        Each output coordinate adds, over the nonzero entries of its
+        column of ``lin``, rows of a coordinate-major (D, N) copy of x,
+        in the narrowest signed dtype that holds D*(M-1)^2; the result is
+        the (N, D) transpose of that (D, N) array, reduced mod M."""
+        lin = np.asarray(lin)
+        D, E = lin.shape
+        dtype = _min_int_dtype(D * (self.M - 1) ** 2)
+        xt = np.array(np.asarray(coords).T, dtype=dtype, order="C")
+        out = np.zeros((E, xt.shape[1]), dtype=dtype)
+        scaled = np.empty_like(out[0])
+        for d, e in zip(*np.nonzero(lin)):
+            v = int(lin[d, e])
+            if v == 1:
+                out[e] += xt[d]
+            else:
+                np.multiply(xt[d], v, out=scaled)
+                out[e] += scaled
+        _reduce(out, self.M)
+        return out.T
 
     # -- canonical integer keys --------------------------------------------------
 

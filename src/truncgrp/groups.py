@@ -13,6 +13,12 @@ All ids, class labels, and cache bytes are deterministic functions of
 (family, n, kind, p, f, r): generator order is fixed, BFS batches have
 a fixed size, and classes are relabeled by their smallest element id.
 
+Both stages multiply only by fixed generators: the BFS maps a frontier
+batch X to X*g, the class graph maps the table to s*X*s^-1, each product
+one ``BatchRing.product_map`` applied with ``BatchRing.apply_map``.  The
+power maps and the p-regular check raise varying elements to powers on
+t-stacks (``BatchRing.matpow``).
+
 Elements are found by their ``BatchRing.encode`` keys, which lie in
 [0, K) with K = M^(n n w) = |R|^(n n).  ``KeyIndex`` is a bitmap over
 that range with the count of set bits before each 64-bit word: the BFS
@@ -175,9 +181,6 @@ class ElementTable:
             raise MembershipError(f"matrix is not in {self.group.label}")
         return int(self.sort_perm[pos[0]])
 
-    def blocks(self) -> np.ndarray:
-        return self.batch.block(self.coords)
-
 
 def enumerate_group(group: GroupDesc, cap: int = CLASS_CAP) -> ElementTable:
     """Close the generator set under right multiplication (BFS).
@@ -201,13 +204,12 @@ def enumerate_group(group: GroupDesc, cap: int = CLASS_CAP) -> ElementTable:
         # the whole key range: at most 81^4 keys (module docstring)
         seen = KeyIndex(br.M ** (n * n * br.w))
         seen.add(br.encode(ident[None]))
-        gen_blocks = br.block(np.stack([mat_coords(g) for g in gens]))
+        maps = [br.product_map(n, right=g) for g in gens]
         frontier = deque([ident[None]])
         while frontier:
-            bblocks = br.block(frontier.popleft())
-            cand = np.concatenate([br.matmul(bblocks, gen_blocks[j])
-                                   for j in range(len(gens))])
-            coords = br.unblock(cand, n)
+            rows = frontier.popleft().reshape(-1, n * n * br.w)
+            coords = np.concatenate([br.apply_map(lin, rows) for lin in maps])
+            coords = coords.reshape(-1, n, n, br.w)
             keys = br.encode(coords)
             unseen = np.flatnonzero(~seen.contains(keys))
             _, first = np.unique(keys[unseen], return_index=True)
@@ -256,16 +258,14 @@ def conjugacy_classes(table: ElementTable) -> Partition:
     n = group.n
     N = len(table)
     gens = generators(group)
-    if not gens:  # the trivial group, whose blocks may not fit any dtype
+    if not gens:  # the trivial group, whose products may not fit any dtype
         return Partition(table, np.arange(N), N)
-    blocks = table.blocks()
+    flat = table.coords.reshape(N, n * n * br.w)
     rows = []
     cols = []
     for s in gens:
-        sb = br.block(mat_coords(s))
-        sbi = br.block(mat_coords(s.inverse()))
-        conj = br.matmul(br.matmul(sb, blocks), sbi)
-        ids = table.ids_from_keys(br.encode(br.unblock(conj, n)))
+        conj = br.apply_map(br.product_map(n, s, s.inverse()), flat)
+        ids = table.ids_from_keys(br.encode(conj.reshape(N, n, n, br.w)))
         rows.append(np.arange(N, dtype=np.int32))
         cols.append(ids.astype(np.int32))
     r = np.concatenate(rows)
@@ -281,8 +281,10 @@ def conjugacy_classes(table: ElementTable) -> Partition:
 
 def build_power_map(table: ElementTable, e: int) -> np.ndarray:
     """ids of x^e for every element id x."""
+    if len(table) == 1:  # the trivial group: no generators, stacks may not fit
+        return np.zeros(1, dtype=np.int64)
     br = table.batch
-    powed = br.matpow(table.blocks(), e)
+    powed = br.matpow(br.block(table.coords), e)
     return table.ids_from_keys(br.encode(br.unblock(powed, table.group.n)))
 
 
@@ -329,6 +331,8 @@ class KuelshammerProfile:
 def _p_regular_class_count(part: Partition, p: int) -> int:
     """Classes whose elements have order prime to p (batch check on reps)."""
     group = part.table.group
+    if len(part.table) == 1:  # the trivial group: its identity is p-regular
+        return 1
     factors = exponent_multiple(group)
     mprime = 1
     for ell, e in factors.items():

@@ -217,6 +217,58 @@ def test_stack_dtype_is_narrowest_that_holds_the_sums(kind, p, r, n, dtype, rng)
     assert _to_mats(R, prods) == [x * mats[0] for x in mats]
 
 
+def _rand_unit_mat(R, n, rng):
+    while True:
+        m = _rand_mat(R, n, rng)
+        if R.is_unit(m.det()):
+            return m
+
+
+@pytest.mark.parametrize("kind, p, f, r, acc", [
+    ("witt", 3, 1, 2, None),
+    ("witt", 2, 2, 2, None),
+    ("poly", 3, 1, 2, None),
+    ("poly", 2, 2, 2, None),
+    ("witt", 2, 1, 8, np.int32),    # D * 255^2 > 2^15 from D = 1
+    ("witt", 2, 1, 16, np.int64),   # D * 65535^2 > 2^31 from D = 1
+])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_map_agrees_with_stacks_and_scalar(kind, p, f, r, acc, n, rng):
+    R = ring_make(kind, p, f, r)
+    br = BatchRing.get(R)
+    ident = Mat.identity(R, n)
+    # every coordinate M - 1 puts the largest residues into the sums
+    top = Mat(R, [[R.from_coords([R.coord_mod - 1] * R.w)] * n] * n)
+    xs = [top, ident] + [_rand_mat(R, n, rng) for _ in range(6)]
+    coords = np.array([mat_coords(x) for x in xs])
+    rows = coords.reshape(len(xs), n * n * R.w)
+    s = _rand_unit_mat(R, n, rng)
+    a, b = _rand_mat(R, n, rng), _rand_mat(R, n, rng)
+    for left, right in ((a, None), (None, b), (top, top), (s, s.inverse())):
+        got = br.apply_map(br.product_map(n, left, right), rows)
+        if acc is not None:
+            assert got.dtype == acc
+        got = got.reshape(coords.shape)
+        stacks = br.block(coords)
+        if left is not None:
+            stacks = br.matmul(br.block(mat_coords(left)), stacks)
+        if right is not None:
+            stacks = br.matmul(stacks, br.block(mat_coords(right)))
+        assert np.array_equal(got, br.unblock(stacks, n))
+        lm, rm = left or ident, right or ident
+        assert _to_mats(R, got) == [lm * x * rm for x in xs]
+
+
+def test_apply_map_overflow_is_defined():
+    R = ring_make("witt", 2, 1, 40)  # D (M - 1)^2 = (2^40 - 1)^2 >= 2^63
+    br = BatchRing.get(R)
+    x = Mat(R, [[R.from_coords([3])]])
+    lin = br.product_map(1, right=x)
+    assert lin.tolist() == [[3]]
+    with pytest.raises(OverflowError):
+        br.apply_map(lin, mat_coords(x).reshape(1, 1))
+
+
 def _product_to(R, a, b, k):
     """R's structure tensor with basis[a] * basis[b] moved to coordinate k."""
     T = R.structure_tensor()

@@ -178,6 +178,17 @@ def test_classes_of_the_trivial_group_need_no_products(capsys):
     assert data["results"]["num_classes"] == 1
 
 
+def test_kuelshammer_of_the_trivial_group_needs_no_stacks(capsys):
+    # x^2 and the p-regular check of the identity need no t-stack, whose
+    # dtype would have to hold sums of products of residues mod 2^40
+    rc = main(["--format", "json", "kuelshammer", "--family", "SL", "-n", "1",
+               "--kind", "witt", "-p", "2", "-r", "40"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert data["results"]["dims"] == [1]
+    assert data["results"]["p_regular_classes"] == 1
+
+
 @pytest.mark.parametrize("args", [
     WITNESS,
     ["kuelshammer", "-n", "2", "--kind", "witt", "-p", "3", "-r", "1"],
