@@ -7,18 +7,17 @@ it to (N, D) coordinate rows with one vector addition per nonzero entry,
 in the narrowest signed dtype that holds D*(M-1)^2.  The BFS and the
 class graph multiply only by fixed generators and use this form.
 
-Where both factors vary (powers, the Sylow walk, the oracle table), a
-matrix over the ring is held as a t-stack: an integer array of shape
-(..., L, m, m) with m = n*c.  For the poly kind F_q[t]/t^r, L = r and
-c = f: slice k is the F_q-block of the t^k coefficient matrix, each
-F_q entry expanded to its c x c multiplication matrix over F_p.  For the
-witt kind, L = 1 and c = f: the one slice is the matrix with each entry
-expanded to its f x f multiplication matrix over Z/p^r.  Either way the
-expansion is a ring homomorphism, so a product of stacks is the
-truncated convolution C_k = sum_{i+j=k} A_i @ B_j mod M: r(r+1)/2 small
-``np.matmul`` calls for poly, one for witt.  Stacks use the narrowest
-signed dtype that holds the sums, L*m*(M-1)^2.  Coordinates are read
-off the image-of-1 column of each c x c block.
+Where both factors vary (powers, the Sylow walk, the oracle table),
+``matmul`` takes and returns (..., n, n, w) coordinates too.  Only its
+left factor becomes a t-stack, (..., L, m, m) with m = n*c: for the poly
+kind F_q[t]/t^r, L = r, c = f and slice k is the t^k coefficient matrix
+with each F_q entry expanded to its c x c multiplication matrix over
+F_p; for the witt kind, L = 1, c = f and entries of Z/p^r[x]/(mhat)
+expand over Z/p^r.  Column 0 of each c x c block, the image of 1, is
+the entry's coordinates, so the right factor stays coordinate columns
+and the product is the truncated convolution C_k = sum_{i+j=k} A_i @ B_j
+mod M: r(r+1)/2 small ``np.matmul`` calls for poly, one for witt, in the
+narrowest signed dtype that holds L*m*(M-1)^2.
 
 This module only moves arrays around; all structure constants are
 produced by the scalar layer in ``ring``, and ``BatchRing`` checks that
@@ -142,13 +141,8 @@ class BatchRing:
         return -a % self.M
 
     def mul(self, a, b):
-        return tensor_mul(self.T, self.M, a, b)
-
-    # -- t-stack packing -------------------------------------------------------
-
-    def regrep(self, coords: np.ndarray) -> np.ndarray:
-        """(..., w) coordinate vectors to (..., w, w) multiplication matrices."""
-        return _regrep(self.T, self.M, coords)
+        """Products of (..., w) coordinate vectors: 1 x 1 ``matmul``."""
+        return self.matmul(a[..., None, None, :], b[..., None, None, :])[..., 0, 0, :]
 
     def _dtype(self, n):
         """Narrowest signed dtype for n x n stacks: an entry of a product
@@ -156,57 +150,62 @@ class BatchRing:
         return _min_int_dtype(self.L * n * self.c * (self.M - 1) ** 2)
 
     def identity(self, n: int) -> np.ndarray:
-        """The (L, m, m) t-stack of the n x n identity: [I, 0, ..., 0]."""
-        m = n * self.c
-        ident = np.zeros((self.L, m, m), dtype=self._dtype(n))
-        ident[0] = np.eye(m, dtype=ident.dtype)
+        """(n, n, w) coordinates of the n x n identity."""
+        ident = np.zeros((n, n, self.w), dtype=np.int64)
+        ident[range(n), range(n)] = self.one
         return ident
 
     def block(self, mats: np.ndarray) -> np.ndarray:
-        """(..., n, n, w) coordinate matrices to (..., L, n*c, n*c) t-stacks."""
-        a = np.asarray(mats, dtype=np.int64)
+        """(..., n, n, w) coordinate matrices to (..., L, n*c, n*c) t-stacks:
+        entry (r, s) of the block of a coefficient x is sum_u x_u T0[u, s, r],
+        one vector addition per nonzero entry of T0."""
+        a = np.asarray(mats)
         n, L, c = a.shape[-2], self.L, self.c
+        lead = a.shape[:-3]
         dtype = self._dtype(n)
-        a = a.reshape(a.shape[:-1] + (L, c))
-        rep = _regrep(self.T0, self.M, a)  # (..., n, n, L, c, c) = (row, col, t, rep-row, rep-col)
-        rep = np.moveaxis(rep, -3, -5).swapaxes(-3, -2)  # (..., L, n, c, n, c)
-        return rep.reshape(rep.shape[:-4] + (n * c, n * c)).astype(dtype)
-
-    def unblock(self, blocks: np.ndarray, n: int) -> np.ndarray:
-        """Inverse of ``block``: (..., n, n, w) int64 coordinates, read off
-        the image-of-1 column of each c x c block.  Stacks from ``block``,
-        ``matmul`` and ``matpow`` are reduced mod M, so this only copies."""
-        b = np.asarray(blocks)
-        L, c = self.L, self.c
-        coords = b.reshape(b.shape[:-3] + (L, n, c, n, c))[..., 0]  # (..., L, n, c, n)
-        coords = np.moveaxis(coords, (-4, -3, -2, -1), (-2, -4, -1, -3))  # (..., n, n, L, c)
-        return coords.astype(np.int64).reshape(coords.shape[:-2] + (self.w,))
+        # coefficient-major (c, ..., L, n, n) copy of the coordinates
+        src = np.ascontiguousarray(
+            np.moveaxis(a.reshape(lead + (n, n, L, c)), (-1, -2), (0, -3)), dtype=dtype)
+        out = np.zeros(lead + (L, n, c, n, c), dtype=dtype)
+        for u, s, r in zip(*np.nonzero(self.T0)):
+            out[..., r, :, s] += int(self.T0[u, s, r]) * src[u]
+        _reduce(out, self.M)
+        return out.reshape(lead + (L, n * c, n * c))
 
     # -- batched operations ----------------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Products of t-stacks, broadcast over the leading axes: the
-        truncated convolution C_k = sum_{i+j=k} A_i @ B_j mod M."""
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-        for k in range(self.L):
+        """Products of (..., n, n, w) coordinate matrices, broadcast over
+        the leading axes: the t-stack of a times the (..., L, n*c, n)
+        coordinate columns of b, C_k = sum_{i+j=k} A_i @ B_j mod M."""
+        A = self.block(a)
+        b = np.asarray(b)
+        n, L, c = b.shape[-2], self.L, self.c
+        # (..., i, j, t, coefficient) -> (..., t, i, coefficient, j)
+        B = np.moveaxis(b.reshape(b.shape[:-3] + (n, n, L, c)), (-2, -4, -1, -3), (-4, -3, -2, -1))
+        B = np.ascontiguousarray(B, dtype=A.dtype).reshape(B.shape[:-4] + (L, n * c, n))
+        out = np.empty(np.broadcast_shapes(A.shape[:-3], B.shape[:-3]) + B.shape[-3:], A.dtype)
+        for k in range(L):
             ck = out[..., k, :, :]
-            np.matmul(a[..., 0, :, :], b[..., k, :, :], out=ck)
+            np.matmul(A[..., 0, :, :], B[..., k, :, :], out=ck)
             for i in range(1, k + 1):
-                ck += np.matmul(a[..., i, :, :], b[..., k - i, :, :])
+                ck += np.matmul(A[..., i, :, :], B[..., k - i, :, :])
         _reduce(out, self.M)
-        return out
+        out = out.reshape(out.shape[:-2] + (n, c, n))
+        out = np.moveaxis(out, (-4, -3, -2, -1), (-2, -4, -1, -3))
+        return out.reshape(out.shape[:-2] + (self.w,))
 
-    def matpow(self, blocks: np.ndarray, e: int) -> np.ndarray:
+    def matpow(self, coords: np.ndarray, e: int) -> np.ndarray:
         if e < 0:
             raise ValueError("negative exponent")
         if e == 0:
-            ident = self.identity(blocks.shape[-1] // self.c)
-            return np.broadcast_to(ident, blocks.shape).copy()
-        return square_and_multiply(self.matmul, blocks % self.M, e)
+            ident = self.identity(np.shape(coords)[-2])
+            return np.broadcast_to(ident, np.shape(coords)).copy()
+        return square_and_multiply(self.matmul, coords, e)
 
-    def is_identity(self, blocks: np.ndarray) -> np.ndarray:
-        ident = self.identity(blocks.shape[-1] // self.c)
-        return np.all(blocks == ident, axis=(-3, -2, -1))
+    def is_identity(self, coords: np.ndarray) -> np.ndarray:
+        ident = self.identity(np.shape(coords)[-2])
+        return np.all(coords == ident, axis=(-3, -2, -1))
 
     # -- products by fixed matrices ----------------------------------------------
 
@@ -260,12 +259,16 @@ class BatchRing:
     # -- canonical integer keys --------------------------------------------------
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
-        """(..., n, n, w) coordinates to int64 keys (mixed-radix, base M)."""
-        c = np.asarray(coords, dtype=np.int64)
+        """(..., n, n, w) coordinates to int64 keys (mixed-radix, base M),
+        accumulated by Horner's rule over the n*n*w coordinate columns."""
+        c = np.asarray(coords)
         n = c.shape[-2]
         d = n * n * self.w
         if d * np.log2(max(self.M, 2)) > 62:
             raise OverflowError("matrix does not fit in an int64 key")
         flat = c.reshape(c.shape[:-3] + (d,))
-        weights = self.M ** np.arange(d, dtype=np.int64)
-        return flat @ weights
+        keys = flat[..., d - 1].astype(np.int64)
+        for i in reversed(range(d - 1)):
+            keys *= self.M
+            keys += flat[..., i]
+        return keys

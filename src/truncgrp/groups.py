@@ -16,8 +16,8 @@ a fixed size, and classes are relabeled by their smallest element id.
 Both stages multiply only by fixed generators: the BFS maps a frontier
 batch X to X*g, the class graph maps the table to s*X*s^-1, each product
 one ``BatchRing.product_map`` applied with ``BatchRing.apply_map``.  The
-power maps and the p-regular check raise varying elements to powers on
-t-stacks (``BatchRing.matpow``).
+power maps and the p-regular check raise the coordinates of varying
+elements to powers with ``BatchRing.matpow``.
 
 Elements are found by their ``BatchRing.encode`` keys, which lie in
 [0, K) with K = M^(n n w) = |R|^(n n).  ``KeyIndex`` is a bitmap over
@@ -284,8 +284,7 @@ def build_power_map(table: ElementTable, e: int) -> np.ndarray:
     if len(table) == 1:  # the trivial group: no generators, stacks may not fit
         return np.zeros(1, dtype=np.int64)
     br = table.batch
-    powed = br.matpow(br.block(table.coords), e)
-    return table.ids_from_keys(br.encode(br.unblock(powed, table.group.n)))
+    return table.ids_from_keys(br.encode(br.matpow(table.coords, e)))
 
 
 def class_power_map(part: Partition, e: int) -> np.ndarray:
@@ -339,8 +338,7 @@ def _p_regular_class_count(part: Partition, p: int) -> int:
         if ell != p:
             mprime *= ell ** e
     br = part.table.batch
-    rep_blocks = br.block(part.table.coords[part.reps])
-    return int(br.is_identity(br.matpow(rep_blocks, mprime)).sum())
+    return int(br.is_identity(br.matpow(part.table.coords[part.reps], mprime)).sum())
 
 
 def kuelshammer_profile(part: Partition, p: int) -> KuelshammerProfile:

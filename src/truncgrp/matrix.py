@@ -433,8 +433,7 @@ def _sylow_coords(group: GroupDesc, lifts, pim, digits) -> np.ndarray:
     R, n = group.ring, group.n
     br = batchmod.BatchRing.get(R)
     upper, free = _sylow_positions(group)
-    u = np.zeros((len(digits), n, n, R.w), dtype=np.int64)
-    u[:, range(n), range(n)] = br.one
+    u = np.broadcast_to(br.identity(n), (len(digits), n, n, R.w)).copy()
     k = u.copy()
     cols = iter(digits.T)
     for i, j in upper:
@@ -453,7 +452,7 @@ def _sylow_coords(group: GroupDesc, lifts, pim, digits) -> np.ndarray:
         k[:, c, c] = br.mul(br.add(br.one, br.neg(det0)), inv)
         if not np.all(determinant(br, rows) == br.one):
             raise ArithmeticError("corner solve failed")
-    return br.unblock(br.matmul(br.block(u), br.block(k)), n)
+    return br.matmul(u, k)
 
 
 def _sylow_chunks(group: GroupDesc, cap: int):
@@ -533,16 +532,16 @@ def _batch_orders(group: GroupDesc, coords: np.ndarray, max_steps: int):
     """Orders (as powers of p) of a batch of Sylow elements."""
     br = batchmod.BatchRing.get(group.ring)
     p = group.ring.p
-    blocks = br.block(coords)
+    powers = coords.copy()
     steps = np.zeros(len(coords), dtype=np.int64)
-    alive = ~br.is_identity(blocks)
+    alive = ~br.is_identity(powers)
     rounds = 0
     while alive.any():
         if rounds > max_steps:
             raise ArithmeticError("Sylow element order exceeds the proven bound")
-        blocks[alive] = br.matpow(blocks[alive], p)
+        powers[alive] = br.matpow(powers[alive], p)
         steps[alive] += 1
-        alive[alive] = ~br.is_identity(blocks[alive])
+        alive[alive] = ~br.is_identity(powers[alive])
         rounds += 1
     return steps
 

@@ -60,9 +60,7 @@ class AlgebraTable:
         if n > cap:
             raise CapExceededError(f"group of size {n} exceeds oracle cap {cap}")
         br = table.batch
-        blocks = br.block(table.coords)
-        prods = br.matmul(blocks[:, None], blocks[None])
-        keys = br.encode(br.unblock(prods, table.group.n))
+        keys = br.encode(br.matmul(table.coords[:, None], table.coords[None]))
         mult = table.ids_from_keys(keys.reshape(-1)).reshape(n, n)
         return cls(p, mult)
 

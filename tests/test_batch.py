@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from truncgrp import Mat, mat_coords, mat_from_coords, ring_make
 from truncgrp import ring as ringmod
-from truncgrp.batch import BatchRing
+from truncgrp.batch import BatchRing, _regrep
 from truncgrp.matrix import determinant
 
 
@@ -29,10 +29,8 @@ def test_batch_matmul_agrees_with_scalar(rng):
             for _ in range(5):
                 a = _rand_mat(R, n, rng)
                 b = _rand_mat(R, n, rng)
-                blk = br.matmul(br.block(np.array([mat_coords(a)])),
-                                br.block(np.array([mat_coords(b)])))
-                got = mat_from_coords(R, br.unblock(blk, n)[0])
-                assert got == a * b
+                prod = br.matmul(np.array([mat_coords(a)]), np.array([mat_coords(b)]))
+                assert mat_from_coords(R, prod[0]) == a * b
 
 
 @pytest.mark.parametrize("kind", ["witt", "poly"])
@@ -47,12 +45,29 @@ def test_batched_determinant_agrees_with_scalar(kind, rng):
         assert [tuple(row) for row in got.tolist()] == [m.det() for m in mats]
 
 
-def test_block_unblock_roundtrip(rng):
-    R = ring_make("witt", 3, 2, 2)  # n != w exercises the axis layout
+def _dense_block(br, coords):
+    """t-stacks of (..., n, n, w) coordinates from the dense (..., w, w)
+    multiplication matrices of the t^k coefficients under T0."""
+    n, L, c = coords.shape[-2], br.L, br.c
+    a = coords.reshape(coords.shape[:-1] + (L, c))
+    rep = _regrep(br.T0, br.M, a)  # (..., row, col, t, rep-row, rep-col)
+    rep = np.moveaxis(rep, -3, -5).swapaxes(-3, -2)  # (..., t, row, rep-row, col, rep-col)
+    return rep.reshape(rep.shape[:-4] + (n * c, n * c))
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["witt", "poly"])
+def test_block_matches_dense_regrep(kind, f, rng):
+    R = ring_make(kind, 2, f, 2)
     br = BatchRing.get(R)
-    coords = np.array([mat_coords(_rand_mat(R, 3, rng)) for _ in range(7)])
-    back = br.unblock(br.block(coords), 3)
-    assert np.array_equal(back, coords)
+    top = R.from_coords([R.coord_mod - 1] * R.w)
+    for n in (1, 2, 3):
+        mats = [Mat(R, [[top] * n] * n)] + [_rand_mat(R, n, rng) for _ in range(5)]
+        coords = np.array([mat_coords(m) for m in mats])
+        got = br.block(coords)
+        assert got.dtype == br._dtype(n)
+        assert np.array_equal(got, _dense_block(br, coords))
+        assert np.array_equal(br.block(coords[0]), got[0])
 
 
 def test_regrep_is_multiplicative(rng):
@@ -60,9 +75,9 @@ def test_regrep_is_multiplicative(rng):
     br = BatchRing.get(R)
     for _ in range(20):
         a, b = R.rand(rng), R.rand(rng)
-        ra = br.regrep(np.array(a))
-        rb = br.regrep(np.array(b))
-        rab = br.regrep(np.array(R.mul(a, b)))
+        ra = _regrep(br.T, br.M, np.array(a))
+        rb = _regrep(br.T, br.M, np.array(b))
+        rab = _regrep(br.T, br.M, np.array(R.mul(a, b)))
         assert np.array_equal(ra @ rb % br.M, rab)
         # column 0 of the rep is the element itself
         assert np.array_equal(ra[:, 0], np.array(a))
@@ -72,13 +87,14 @@ def test_matpow_agrees_with_scalar_pow(rng):
     R = ring_make("witt", 2, 1, 4)
     br = BatchRing.get(R)
     mats = [_rand_mat(R, 2, rng) for _ in range(6)]
-    blocks = br.block(np.array([mat_coords(m) for m in mats]))
+    coords = np.array([mat_coords(m) for m in mats])
     for e in (0, 1, 2, 7, 16):
-        pw = br.matpow(blocks, e)
+        pw = br.matpow(coords, e)
+        assert pw.shape == coords.shape
         for i, m in enumerate(mats):
-            assert mat_from_coords(R, br.unblock(pw[None, i], 2)[0]) == m ** e
+            assert mat_from_coords(R, pw[i]) == m ** e
     with pytest.raises(ValueError):
-        br.matpow(blocks, -1)
+        br.matpow(coords, -1)
 
 
 def test_is_identity_mask(rng):
@@ -88,11 +104,10 @@ def test_is_identity_mask(rng):
     m = _rand_mat(R, 2, rng)
     while m == ident:
         m = _rand_mat(R, 2, rng)
-    blocks = br.block(np.array([mat_coords(ident), mat_coords(m)]))
-    mask = br.is_identity(blocks)
+    coords = np.array([mat_coords(ident), mat_coords(m)])
+    mask = br.is_identity(coords)
     assert mask.tolist() == [True, False]
-    eye = mat_coords(Mat.identity(R, 2))
-    assert np.array_equal(br.unblock(br.block(eye[None])[0], 2), eye)
+    assert np.array_equal(br.identity(2), mat_coords(ident))
 
 
 def test_encode_is_injective_exhaustively():
@@ -106,6 +121,27 @@ def test_encode_is_injective_exhaustively():
     assert keys.min() == 0 and keys.max() == 255
 
 
+@pytest.mark.parametrize("kind, p, f, r, n", [
+    ("poly", 3, 1, 3, 2),   # uint8 coordinates, the headline rings
+    ("witt", 3, 2, 2, 2),   # n != w
+    ("witt", 2, 1, 40, 1),  # uint64 coordinates up to 2^40 - 1
+])
+def test_encode_is_the_mixed_radix_key(kind, p, f, r, n, rng):
+    R = ring_make(kind, p, f, r)
+    br = BatchRing.get(R)
+    d = n * n * R.w
+    top = Mat(R, [[R.from_coords([R.coord_mod - 1] * R.w)] * n] * n)
+    coords = np.array([mat_coords(top)] + [mat_coords(_rand_mat(R, n, rng)) for _ in range(7)])
+    flat = coords.reshape(-1, d)
+    want = [sum(int(x) * R.coord_mod ** i for i, x in enumerate(row)) for row in flat]
+    # the table's contiguous unsigned coordinates, and the transposed
+    # (D, N) rows that apply_map returns
+    table = coords.astype(br.coord_dtype)
+    assert br.encode(table).tolist() == want
+    assert br.encode(np.ascontiguousarray(flat.T).T.reshape(coords.shape)).tolist() == want
+    assert br.encode(coords).tolist() == want
+
+
 def test_encode_overflow_guard():
     R = ring_make("witt", 2, 1, 40)  # M = 2^40, 2x2: 4*40 bits >> 62
     br = BatchRing.get(R)
@@ -113,6 +149,8 @@ def test_encode_overflow_guard():
         br.encode(np.zeros((1, 2, 2, 1), dtype=np.int64))
     with pytest.raises(OverflowError):
         br.block(np.zeros((1, 2, 2, 1), dtype=np.int64))
+    with pytest.raises(OverflowError):
+        br.matmul(np.zeros((1, 2, 2, 1), dtype=np.int64), np.zeros((2, 2, 1), dtype=np.int64))
 
 
 def test_batchring_is_cached_per_ring():
@@ -123,7 +161,7 @@ def test_batchring_is_cached_per_ring():
 def test_matpow_multiplies_only_what_it_needs(monkeypatch, rng):
     R = ring_make("poly", 3, 1, 2)
     br = BatchRing.get(R)
-    blocks = br.block(np.array([mat_coords(_rand_mat(R, 2, rng)) for _ in range(4)]))
+    coords = np.array([mat_coords(_rand_mat(R, 2, rng)) for _ in range(4)])
     calls = [0]
     matmul = BatchRing.matmul
 
@@ -133,11 +171,11 @@ def test_matpow_multiplies_only_what_it_needs(monkeypatch, rng):
     monkeypatch.setattr(BatchRing, "matmul", counted)
     for e, expected in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (12, 4)):
         calls[0] = 0
-        got = br.matpow(blocks, e)
+        got = br.matpow(coords, e)
         assert calls[0] == expected, e
-        ref = np.broadcast_to(br.identity(2), blocks.shape)
+        ref = np.broadcast_to(br.identity(2), coords.shape)
         for _ in range(e):
-            ref = matmul(br, ref, blocks)
+            ref = matmul(br, ref, coords)
         assert np.array_equal(got, ref), e
 
 
@@ -175,12 +213,24 @@ def test_matmul_and_roundtrip_agree_with_scalar(shape, data):
     b = _draw_mats(data, R, n, 1) * len(a)
     ca = np.array([mat_coords(m) for m in a])
     cb = np.array([mat_coords(m) for m in b])
-    assert np.array_equal(br.unblock(br.block(ca), n), ca)
-    prods = br.unblock(br.matmul(br.block(ca), br.block(cb)), n)
+    # the image-of-1 column of each c x c block of a stack is the entry's
+    # coordinates, which matmul reads off the right factor
+    stacks = br.block(ca).reshape(len(a), br.L, n, br.c, n, br.c)[..., 0]
+    assert np.array_equal(np.moveaxis(stacks, (1, 2, 3, 4), (3, 1, 4, 2)),
+                          ca.reshape(len(a), n, n, br.L, br.c))
+    prods = br.matmul(ca, cb)
+    assert prods.shape == ca.shape
     assert _to_mats(R, prods) == [x * y for x, y in zip(a, b)]
-    # one right-hand factor broadcast over the stack, as in the BFS
-    prods = br.unblock(br.matmul(br.block(ca), br.block(cb[0])), n)
+    # one right-hand factor broadcast over the batch
+    prods = br.matmul(ca, cb[0])
     assert _to_mats(R, prods) == [x * b[0] for x in a]
+    # and one left-hand factor
+    prods = br.matmul(cb[0], ca)
+    assert _to_mats(R, prods) == [b[0] * x for x in a]
+    # the (N, 1) x (1, N) outer broadcast of the oracle's table
+    prods = br.matmul(ca[:, None], ca[None])
+    assert prods.shape == (len(a), len(a), n, n, R.w)
+    assert [_to_mats(R, row) for row in prods] == [[x * y for y in a] for x in a]
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,11 +242,11 @@ def test_matpow_and_is_identity_agree_with_scalar(shape, data):
     ident = Mat.identity(R, n)
     mats = [ident] + _draw_mats(data, R, n, 3)
     e = data.draw(st.integers(0, p * p + 1))
-    blocks = br.block(np.array([mat_coords(m) for m in mats]))
-    powed = br.matpow(blocks, e)
-    assert _to_mats(R, br.unblock(powed, n)) == [m ** e for m in mats]
+    coords = np.array([mat_coords(m) for m in mats])
+    powed = br.matpow(coords, e)
+    assert _to_mats(R, powed) == [m ** e for m in mats]
     assert br.is_identity(powed).tolist() == [(m ** e).is_identity() for m in mats]
-    assert br.is_identity(blocks).tolist() == [m.is_identity() for m in mats]
+    assert br.is_identity(coords).tolist() == [m.is_identity() for m in mats]
 
 
 @pytest.mark.parametrize("kind, p, r, n, dtype", [
@@ -211,10 +261,12 @@ def test_stack_dtype_is_narrowest_that_holds_the_sums(kind, p, r, n, dtype, rng)
     # every coordinate M - 1 makes each sum of the top slice as large as it can be
     top = R.from_coords([R.coord_mod - 1] * R.w)
     mats = [Mat(R, [[top] * n] * n)] + [_rand_mat(R, n, rng) for _ in range(4)]
-    blocks = br.block(np.array([mat_coords(m) for m in mats]))
-    assert blocks.dtype == dtype
-    prods = br.unblock(br.matmul(blocks, blocks[0]), n)
+    coords = np.array([mat_coords(m) for m in mats])
+    assert br.block(coords).dtype == dtype
+    prods = br.matmul(coords, coords[0])
     assert _to_mats(R, prods) == [x * mats[0] for x in mats]
+    prods = br.matmul(coords[0], coords)
+    assert _to_mats(R, prods) == [mats[0] * x for x in mats]
 
 
 def _rand_unit_mat(R, n, rng):
@@ -249,12 +301,12 @@ def test_product_map_agrees_with_stacks_and_scalar(kind, p, f, r, acc, n, rng):
         if acc is not None:
             assert got.dtype == acc
         got = got.reshape(coords.shape)
-        stacks = br.block(coords)
+        prods = coords
         if left is not None:
-            stacks = br.matmul(br.block(mat_coords(left)), stacks)
+            prods = br.matmul(mat_coords(left), prods)
         if right is not None:
-            stacks = br.matmul(stacks, br.block(mat_coords(right)))
-        assert np.array_equal(got, br.unblock(stacks, n))
+            prods = br.matmul(prods, mat_coords(right))
+        assert np.array_equal(got, prods)
         lm, rm = left or ident, right or ident
         assert _to_mats(R, got) == [lm * x * rm for x in xs]
 
