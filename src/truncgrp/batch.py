@@ -5,7 +5,7 @@ D = n*n*w flat coordinates of X, M = coord_mod: ``product_map`` builds
 that (D, D) matrix from scalar ``Mat`` products and ``apply_map`` applies
 it to (N, D) coordinate rows with one vector addition per nonzero entry,
 in the narrowest signed dtype that holds D*(M-1)^2.  The BFS and the
-class graph multiply only by fixed generators and use this form.
+conjugacy classes multiply only by fixed generators and use this form.
 
 Where both factors vary (powers, the Sylow walk, the oracle table),
 ``matmul`` takes and returns (..., n, n, w) coordinates too.  Only its

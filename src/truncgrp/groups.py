@@ -11,10 +11,10 @@ and reports whether the profiles tell them apart.
 
 All ids, class labels, and cache bytes are deterministic functions of
 (family, n, kind, p, f, r): generator order is fixed, BFS batches have
-a fixed size, and classes are relabeled by their smallest element id.
+a fixed size, and classes are labeled by their smallest element id.
 
 Both stages multiply only by fixed generators: the BFS maps a frontier
-batch X to X*g, the class graph maps the table to s*X*s^-1, each product
+batch X to X*g, the class stage maps the table to s*X*s^-1, each product
 one ``BatchRing.product_map`` applied with ``BatchRing.apply_map``.  The
 power maps and the p-regular check raise the coordinates of varying
 elements to powers with ``BatchRing.matpow``.
@@ -27,6 +27,12 @@ into an id.  It takes about K/4 bytes, 133 KB for GL_2 over Z/27 and
 F_3[t]/t^3.  Under ``CLASS_CAP`` the largest K of a group with
 generators is 81^4 (SL_2 over a ring of 81 elements, 11 MB), so one
 code path serves every group and no sorted-key search is kept beside it.
+
+The classes are the orbits of the conjugation permutations X -> s*X*s^-1,
+one per generator s.  ``orbit_labels`` finds them by label propagation
+with pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982): each
+element starts as its own label, takes the least label among its images,
+and labels are then followed to their own labels until nothing changes.
 """
 
 from __future__ import annotations
@@ -41,8 +47,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import ring as ringmod
 from .batch import BatchRing
@@ -237,7 +241,8 @@ class Partition:
 
     ``class_of[i]`` is the class label of element id i; labels are
     assigned by ascending smallest member id, so the identity's class
-    is 0 and ``reps[c]`` (the smallest id in class c) is increasing.
+    is 0 and ``reps[c]`` (the smallest id in class c) is increasing:
+    the reps are the ids where the running maximum of ``class_of`` rises.
     """
 
     def __init__(self, table: ElementTable, class_of: np.ndarray, num_classes: int):
@@ -245,38 +250,60 @@ class Partition:
         self.class_of = np.asarray(class_of, dtype=np.int32)
         self.num_classes = int(num_classes)
         self.sizes = np.bincount(self.class_of, minlength=self.num_classes)
-        self.reps = np.unique(self.class_of, return_index=True)[1]
+        rises = np.diff(np.maximum.accumulate(self.class_of), prepend=-1) > 0
+        self.reps = np.flatnonzero(rises)
 
     def elements_of(self, c: int) -> np.ndarray:
         return np.nonzero(self.class_of == c)[0]
 
 
+def orbit_labels(perms, size: int) -> np.ndarray:
+    """The smallest member of each point's orbit under permutations of
+    [0, size).
+
+    Every label stays a member of its point's orbit and no larger than
+    its point: a round takes ``min(lab, lab[perm])`` over the perms, then
+    jumps ``lab = lab[lab]`` until that is stable.  Labels only fall, so
+    the rounds stop.  When a round changes nothing, ``lab[i] <=
+    lab[perm[i]]`` for every i and perm, and along a cycle of a perm,
+    which returns to its start, the labels can only be equal.  So each
+    orbit has one label, and as a member of the orbit it is its
+    smallest member.
+    """
+    lab = np.arange(size, dtype=np.int32)  # ids fit, as in Partition.class_of
+    while True:
+        new = lab
+        for perm in perms:
+            new = np.minimum(new, new[perm])
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
 def conjugacy_classes(table: ElementTable) -> Partition:
-    """Classes = weak components of the generator-conjugation graphs."""
+    """Classes = orbits of conjugation by the generators.
+
+    Conjugation by a generator s permutes the ids; ``orbit_labels``
+    gives each element the smallest id in its class, and those roots in
+    ascending order number the classes.
+    """
     group = table.group
     br = table.batch
     n = group.n
     N = len(table)
-    gens = generators(group)
-    if not gens:  # the trivial group, whose products may not fit any dtype
-        return Partition(table, np.arange(N), N)
     flat = table.coords.reshape(N, n * n * br.w)
-    rows = []
-    cols = []
-    for s in gens:
+    perms = []
+    for s in generators(group):
         conj = br.apply_map(br.product_map(n, s, s.inverse()), flat)
         ids = table.ids_from_keys(br.encode(conj.reshape(N, n, n, br.w)))
-        rows.append(np.arange(N, dtype=np.int32))
-        cols.append(ids.astype(np.int32))
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    graph = coo_matrix((np.ones(len(r), dtype=np.int8), (r, c)), shape=(N, N))
-    ncls, labels = connected_components(graph, directed=True, connection="weak")
-    _, first = np.unique(labels, return_index=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(ncls, dtype=np.int64)
-    rank[order] = np.arange(ncls)
-    return Partition(table, rank[labels], ncls)
+        perms.append(ids.astype(np.int32))
+    roots, class_of = np.unique(orbit_labels(perms, N), return_inverse=True)
+    return Partition(table, class_of, len(roots))
 
 
 def build_power_map(table: ElementTable, e: int) -> np.ndarray:
@@ -547,7 +574,14 @@ def load_cache(path, group: GroupDesc):
     except ClosureMismatchError:
         log.warning("cache %s: duplicate elements, ignoring", path)
         return None
-    return table, Partition(table, class_of, ncls)
+    part = Partition(table, class_of, ncls)
+    # the labels at the reps rise and lie in [0, ncls): ncls of them are
+    # 0, 1, ..., in first-occurrence order, and every class is nonempty
+    if len(part.reps) != ncls:
+        log.warning("cache %s: class labels not in first-occurrence order, "
+                    "ignoring", path)
+        return None
+    return table, part
 
 
 def partition_for(group: GroupDesc, cap: int = CLASS_CAP, cache_dir=None):

@@ -189,21 +189,48 @@ def test_kuelshammer_of_the_trivial_group_needs_no_stacks(capsys):
     assert data["results"]["p_regular_classes"] == 1
 
 
+_MAIN = "from truncgrp.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+
+def _run_python(code, *args, blocked=()):
+    """Run code in a fresh interpreter with the blocked modules' entries
+    in sys.modules set to None, which makes every import of them raise."""
+    src = os.path.dirname(os.path.dirname(truncgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("TRUNCGRP_CACHE_DIR", None)
+    block = "".join(f"sys.modules[{m!r}] = None\n" for m in blocked)
+    return subprocess.run([sys.executable, "-c", "import sys\n" + block + code,
+                           *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 @pytest.mark.parametrize("args", [
     WITNESS,
     ["kuelshammer", "-n", "2", "--kind", "witt", "-p", "3", "-r", "1"],
     ["compare", "-n", "2", "-p", "3", "-r", "2"],
 ])
 def test_commands_run_without_sympy(args):
-    # a None entry in sys.modules makes every import of sympy raise
-    code = ("import sys; sys.modules['sympy'] = None\n"
-            "from truncgrp.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))")
-    src = os.path.dirname(os.path.dirname(truncgrp.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("TRUNCGRP_CACHE_DIR", None)
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_python(_MAIN, *args, blocked=["sympy"])
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["classes", "-n", "2", "--kind", "witt", "-p", "3", "-r", "2"],
+    ["compare", "-n", "2", "-p", "2", "-r", "2"],
+])
+def test_commands_run_without_scipy(args, capsys):
+    args = ["--format", "json", "--canonical"] + args
+    proc = _run_python(_MAIN, *args, blocked=["scipy"])
+    assert proc.returncode == 0, proc.stderr
+    assert main(args) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("blocked", [["scipy"], []], ids=["blocked", "installed"])
+def test_cli_import_needs_no_scipy(blocked):
+    # scipy installed, the import must still leave it unimported
+    proc = _run_python("import truncgrp.cli\n"
+                       "assert sys.modules.get('scipy') is None", blocked=blocked)
     assert proc.returncode == 0, proc.stderr
 
 

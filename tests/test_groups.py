@@ -15,7 +15,7 @@ from truncgrp import (CapExceededError, ClosureMismatchError, GroupDesc, Mat,
                       load_cache, partition_for, ring_make,
                       save_cache, proven_regime)
 from truncgrp import groups
-from truncgrp.groups import ElementTable, KeyIndex, cache_slug
+from truncgrp.groups import ElementTable, KeyIndex, cache_slug, orbit_labels
 from truncgrp.matrix import mat_coords
 
 
@@ -199,6 +199,56 @@ def test_classes_match_all_element_conjugation():
         got = {frozenset(part.elements_of(c).tolist())
                for c in range(part.num_classes)}
         assert got == _brute_partition(table), grp.label
+
+
+def _draw_perm(data, size):
+    """The identity, a permutation of a random subset (the rest fixed),
+    or a permutation of all of [0, size)."""
+    perm = np.arange(size)
+    shape = data.draw(st.sampled_from(["identity", "subset", "full"]))
+    if shape != "identity":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        moved = perm if shape == "full" else np.flatnonzero(
+            rng.random(size) < data.draw(st.floats(0, 1)))
+        perm[moved] = rng.permutation(moved)
+    return perm
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), size=st.integers(1, 2000))
+def test_orbit_labels_match_scipy_weak_components(data, size):
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    perms = [_draw_perm(data, size) for _ in range(data.draw(st.integers(1, 4)))]
+    rows = np.tile(np.arange(size), len(perms))
+    graph = coo_matrix((np.ones(len(rows), dtype=np.int8),
+                        (rows, np.concatenate(perms))), shape=(size, size))
+    ncls, labels = connected_components(graph, directed=True, connection="weak")
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty(ncls, dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(ncls)
+
+    lab = orbit_labels(perms, size)
+    assert np.array_equal(lab, first[labels])  # the smallest member
+    roots, class_of = np.unique(lab, return_inverse=True)
+    assert len(roots) == ncls
+    assert np.array_equal(class_of, rank[labels])
+
+
+@pytest.mark.parametrize("fam, n, kind, p, r", [
+    ("GL", 1, "witt", 3, 2),    # abelian: every class a singleton
+    ("SL", 1, "witt", 2, 40),   # the trivial group: no generators
+])
+def test_classes_of_abelian_and_trivial_groups(fam, n, kind, p, r):
+    grp, table, part = _pipeline(fam, n, kind, p, 1, r)
+    N = len(table)
+    assert N == grp.order()
+    assert part.num_classes == N
+    assert np.array_equal(part.class_of, np.arange(N))
+    assert np.array_equal(part.reps, np.arange(N))
+    assert part.class_of[0] == 0
+    assert (np.diff(part.reps) > 0).all()
 
 
 def test_class_counts_frozen():
@@ -419,6 +469,21 @@ def test_cache_rejects_bad_elements_with_valid_checksum(tmp_path, caplog, edit, 
     with caplog.at_level(logging.WARNING, logger="truncgrp.groups"):
         assert load_cache(path, grp) is None
     assert reason in caplog.text
+
+
+def test_cache_rejects_labels_out_of_first_occurrence_order(tmp_path, caplog):
+    grp, _, part = _pipeline("SL", 2, "witt", 2, 1, 2)
+    path = tmp_path / "x.kkg"
+    save_cache(path, part)
+    body = bytearray(path.read_bytes()[:-4])
+    labels = np.frombuffer(body[-4 * len(part.class_of):], "<u4")
+    swap = np.arange(part.num_classes, dtype="<u4")
+    swap[[1, 2]] = 2, 1  # the same partition, classes 1 and 2 renamed
+    body[-4 * len(labels):] = swap[labels].tobytes()
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    with caplog.at_level(logging.WARNING, logger="truncgrp.groups"):
+        assert load_cache(path, grp) is None
+    assert "first-occurrence order" in caplog.text
 
 
 def test_cache_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):
