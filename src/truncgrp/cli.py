@@ -155,8 +155,6 @@ _SMALL_RING_GRID = [(kind, p, f, r)
 # commands
 
 def cmd_ring(args):
-    if args.action != "selftest":
-        raise ParseError(f"unknown ring action {args.action!r}", 0)
     if args.all_small:
         params = _SMALL_RING_GRID
     else:

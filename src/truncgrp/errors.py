@@ -22,7 +22,7 @@ class MembershipError(TruncgrpError):
 
 
 class CapExceededError(TruncgrpError):
-    """An enumeration would exceed the configured size cap."""
+    """An enumeration would exceed one of the package's size caps."""
 
 
 class ClosureMismatchError(TruncgrpError):

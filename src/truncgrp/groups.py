@@ -48,11 +48,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import matrix as matmod
 from . import ring as ringmod
 from .batch import BatchRing
 from .errors import CapExceededError, ClosureMismatchError, MembershipError
-from .matrix import (SYLOW_CAP, GroupDesc, Mat, diagonal, exponent_multiple,
-                     mat_coords, mat_from_coords, p_exponent, transvection)
+from .matrix import (GroupDesc, Mat, diagonal, exponent_multiple, mat_coords,
+                     mat_from_coords, p_exponent, transvection)
 
 log = logging.getLogger(__name__)
 
@@ -186,17 +187,18 @@ class ElementTable:
         return int(self.sort_perm[pos[0]])
 
 
-def enumerate_group(group: GroupDesc, cap: int = CLASS_CAP) -> ElementTable:
+def enumerate_group(group: GroupDesc) -> ElementTable:
     """Close the generator set under right multiplication (BFS).
 
     Ids are assigned in discovery order: identity first, then for each
     FIFO batch the products batch*g0, batch*g1, ... with in-batch
-    duplicates dropped at first occurrence.
+    duplicates dropped at first occurrence.  A group of more than
+    ``CLASS_CAP`` elements raises ``CapExceededError`` before any work.
     """
     expected = group.order()
-    if expected > cap:
+    if expected > CLASS_CAP:
         raise CapExceededError(
-            f"{group.label} has {expected} elements, cap {cap}")
+            f"{group.label} has {expected} elements, cap {CLASS_CAP}")
     R = group.ring
     br = BatchRing.get(R)
     n = group.n
@@ -221,9 +223,9 @@ def enumerate_group(group: GroupDesc, cap: int = CLASS_CAP) -> ElementTable:
             if fresh.size:
                 new_coords = coords[fresh].astype(br.coord_dtype)
                 total += len(new_coords)
-                if total > cap:
+                if total > CLASS_CAP:
                     raise CapExceededError(
-                        f"closure of {group.label} exceeded cap {cap}")
+                        f"closure of {group.label} exceeded cap {CLASS_CAP}")
                 chunks.append(new_coords)
                 for s in range(0, len(new_coords), _BFS_CHUNK):
                     frontier.append(new_coords[s:s + _BFS_CHUNK])
@@ -316,16 +318,10 @@ def build_power_map(table: ElementTable, e: int) -> np.ndarray:
 
 def class_power_map(part: Partition, e: int) -> np.ndarray:
     """Class label of (class)^e, verified well-defined on every element."""
-    perm = build_power_map(part.table, e)
-    img = part.class_of[perm]
-    order = np.argsort(part.class_of, kind="stable")
-    cc = part.class_of[order]
-    ii = img[order]
-    within = cc[1:] == cc[:-1]
-    if not (ii[1:][within] == ii[:-1][within]).all():
+    img = part.class_of[build_power_map(part.table, e)]
+    cls_img = img[part.reps]  # reps[c] is a member of class c
+    if not np.array_equal(img, cls_img[part.class_of]):
         raise ArithmeticError("power map is not constant on a conjugacy class")
-    cls_img = np.empty(part.num_classes, dtype=np.int64)
-    cls_img[part.class_of] = img
     return cls_img
 
 
@@ -448,13 +444,13 @@ def _padded(dims_a, dims_b):
 
 
 def compare_groups(group_a: GroupDesc, group_b: GroupDesc,
-                   cap: int = CLASS_CAP, sylow_cap: int = SYLOW_CAP,
                    cache_dir=None) -> ComparisonReport:
     """Full invariant comparison of two groups sharing p (and usually order).
 
     Computes both Kuelshammer profiles at the residue characteristic and
     cross-checks each p-exponent against an exhaustive Sylow-subgroup
-    exponent when that subgroup is small enough to walk.
+    exponent when that subgroup has at most ``matrix.SYLOW_CAP``
+    elements (else the report's exponent is None).
     """
     if group_a.ring.p != group_b.ring.p:
         raise ValueError("comparison needs a common residue characteristic")
@@ -463,12 +459,12 @@ def compare_groups(group_a: GroupDesc, group_b: GroupDesc,
     sylows = []
     classes = []
     for g in (group_a, group_b):
-        table, part = partition_for(g, cap=cap, cache_dir=cache_dir)
+        table, part = partition_for(g, cache_dir=cache_dir)
         prof = kuelshammer_profile(part, p)
         profiles.append(prof)
         classes.append(part.num_classes)
-        if g.sylow_size() <= sylow_cap:
-            res = p_exponent(g, strategy="exhaustive", cap=sylow_cap)
+        if g.sylow_size() <= matmod.SYLOW_CAP:
+            res = p_exponent(g, strategy="exhaustive")
             if res.value != prof.p_exponent:
                 raise ArithmeticError(
                     f"Sylow exponent {res.value} != profile p-exponent "
@@ -584,15 +580,16 @@ def load_cache(path, group: GroupDesc):
     return table, part
 
 
-def partition_for(group: GroupDesc, cap: int = CLASS_CAP, cache_dir=None):
-    """Enumerate + classify, with optional transparent file caching."""
+def partition_for(group: GroupDesc, cache_dir=None):
+    """Enumerate + classify, with optional transparent file caching;
+    ``enumerate_group`` raises above ``CLASS_CAP`` elements."""
     path = None
     if cache_dir is not None:
         path = Path(cache_dir) / f"{cache_slug(group)}.kkg"
         cached = load_cache(path, group)
         if cached is not None:
             return cached
-    table = enumerate_group(group, cap=cap)
+    table = enumerate_group(group)
     part = conjugacy_classes(table)
     if path is not None:
         save_cache(path, part)

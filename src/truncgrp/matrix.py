@@ -455,12 +455,12 @@ def _sylow_coords(group: GroupDesc, lifts, pim, digits) -> np.ndarray:
     return br.matmul(u, k)
 
 
-def _sylow_chunks(group: GroupDesc, cap: int):
+def _sylow_chunks(group: GroupDesc):
     """The whole Sylow subgroup in coordinate chunks: u outer, k inner,
     the first entry slowest."""
     size = group.sylow_size()
-    if size > cap:
-        raise CapExceededError(f"Sylow subgroup of {group.label} has {size} elements, cap {cap}")
+    if size > SYLOW_CAP:
+        raise CapExceededError(f"Sylow subgroup of {group.label} has {size} elements, cap {SYLOW_CAP}")
     lifts, pim = _sylow_tables(group.ring, range(group.ring.q ** (group.ring.r - 1)))
     upper, free = _sylow_positions(group)
     radices = np.array([len(lifts)] * len(upper) + [len(pim)] * len(free), dtype=np.int64)
@@ -487,14 +487,15 @@ def _sampled_digits(group: GroupDesc, trials: int, seed: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(trials, len(upper) + len(free))
 
 
-def sylow_p_elements(group: GroupDesc, cap: int = SYLOW_CAP):
+def sylow_p_elements(group: GroupDesc):
     """Stream the preimage of the unitriangular subgroup under reduction.
 
     This preimage is a Sylow p-subgroup of the group, of size
     q^(n(n-1)/2) * q^((r-1) d); every element is a p-element.  The order
-    is the one p_exponent walks.
+    is the one p_exponent walks.  A subgroup of more than ``SYLOW_CAP``
+    elements raises ``CapExceededError`` at the first element drawn.
     """
-    for chunk in _sylow_chunks(group, cap):
+    for chunk in _sylow_chunks(group):
         for coords in chunk:
             yield mat_from_coords(group.ring, coords)
 
@@ -547,11 +548,13 @@ def _batch_orders(group: GroupDesc, coords: np.ndarray, max_steps: int):
 
 
 def p_exponent(group: GroupDesc, strategy: str = "exhaustive", trials: int = 1000,
-               seed: int = 0, cap: int = SYLOW_CAP) -> ExponentResult:
+               seed: int = 0) -> ExponentResult:
     """Largest order of a p-element (= exponent of a Sylow p-subgroup).
 
-    Exhaustive mode walks the whole Sylow subgroup; sampled mode draws
-    seeded random elements of it and reports a lower bound.
+    Exhaustive mode walks the whole Sylow subgroup (more than
+    ``SYLOW_CAP`` elements raise ``CapExceededError`` before any is
+    built); sampled mode draws seeded random elements of it and reports
+    a lower bound.
     """
     R = group.ring
     p = R.p
@@ -570,7 +573,7 @@ def p_exponent(group: GroupDesc, strategy: str = "exhaustive", trials: int = 100
         note = (f"upper bound p^(r-1+ceil(log_p n)) = {upper}: unipotent exponent over the "
                 f"residue field times one factor of p per extra length step")
     if strategy == "exhaustive":
-        chunks = _sylow_chunks(group, cap)
+        chunks = _sylow_chunks(group)
     elif strategy == "sampled":
         if trials < 1:
             raise ValueError("trials must be >= 1")

@@ -7,7 +7,8 @@ commutator subspace [A,A] as a row-reduced span of e_gh - e_hg, the
 subspaces T_n = {x : x^(p^n) in [A,A]} as kernels, and their
 orthogonal spaces under the symmetrizing form (e_g, e_h) = [gh = 1] --
 and reports where the two computations agree or diverge.  It is only
-meant for small groups (dimension <= ORACLE_CAP).
+meant for small groups: ``AlgebraTable.from_element_table`` raises
+``CapExceededError`` above ``ORACLE_CAP`` elements, before any product.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ class AlgebraTable:
                 raise ArithmeticError("multiplication table is not associative")
 
     @classmethod
-    def from_element_table(cls, table, p: int, cap: int = ORACLE_CAP) -> "AlgebraTable":
+    def from_element_table(cls, table, p: int) -> "AlgebraTable":
         n = len(table)
-        if n > cap:
-            raise CapExceededError(f"group of size {n} exceeds oracle cap {cap}")
+        if n > ORACLE_CAP:
+            raise CapExceededError(f"group of size {n} exceeds oracle cap {ORACLE_CAP}")
         br = table.batch
         keys = br.encode(br.matmul(table.coords[:, None], table.coords[None]))
         mult = table.ids_from_keys(keys.reshape(-1)).reshape(n, n)

@@ -44,19 +44,23 @@ context objects, so everything here is safe for concurrent use.
 Byte encoding (version 1): the coordinates, each little-endian in the
 fixed width of coord_mod - 1.
 
-Self test: ``Ring.selftest`` runs its exhaustive checks (the residue
-field's Fermat identity, cardinality, unit count, the digit
-round trip, and Teichmueller multiplicativity when q^2 is within the
-cap) on numpy coordinate arrays in chunks of ``_SELFTEST_CHUNK``
-elements.  Products there come from ``structure_tensor``, which the
-scalar ``mul`` of the very Fq or Ring under test computes on its basis,
-and Witt digits from one table of the q lifts of ``teichmuller``.  A
-few elements of each batched check also run through the scalar
-Frobenius, ``encode``, ``is_unit`` or digit maps; a disagreement fails
-the check.  Teichmueller multiplicativity runs batched only while its
-int64 sums are exact (``batch.products_fit_int64``), and otherwise runs
-its q^2 pairs through the scalar arithmetic.  The sampled checks stay
-scalar and tie the tensors to ``Fq.mul`` and ``Ring.mul``.
+Self test: ``Ring.selftest`` runs a check exhaustively when what it
+walks has at most ``_EXHAUSTIVE_CAP`` members: the residue field's
+Fermat identity (q elements), cardinality, unit count and the digit
+round trip (the ring's elements), and Teichmueller multiplicativity
+(q^2 pairs).  Above the cap it samples, or is skipped (cardinality); a
+sampled check draws at most ``_SAMPLES`` seeded random elements.  The
+exhaustive checks run on numpy coordinate arrays in chunks of
+``_SELFTEST_CHUNK`` elements.  Products there come from
+``structure_tensor``, which the scalar ``mul`` of the very Fq or Ring
+under test computes on its basis, and Witt digits from one table of
+the q lifts of ``teichmuller``.  A few elements of each batched check
+also run through the scalar Frobenius, ``encode``, ``is_unit`` or
+digit maps; a disagreement fails the check.  Teichmueller
+multiplicativity runs batched only while its int64 sums are exact
+(``batch.products_fit_int64``), and otherwise runs its q^2 pairs
+through the scalar arithmetic.  The sampled checks stay scalar and tie
+the tensors to ``Fq.mul`` and ``Ring.mul``.
 
 Text forms: poly elements render like ``1+2t+t^2``, witt elements as
 plain integers (f = 1) or x-polynomials.  ``parse_element`` accepts
@@ -86,6 +90,8 @@ ENCODING_VERSION = 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+_EXHAUSTIVE_CAP = 10_000  # the self test walks at most this many elements or pairs
+_SAMPLES = 100  # random draws per sampled self-test check
 # rows per coordinate array in the self test's batched checks
 _SELFTEST_CHUNK = 512
 # elements per batched check that are also computed by the scalar code
@@ -315,7 +321,7 @@ class Fq(_FlatTuples):
     f = 1 always uses m = x.
     """
 
-    def __init__(self, p: int, f: int, modulus=None):
+    def __init__(self, p: int, f: int):
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if f < 1:
@@ -324,15 +330,7 @@ class Fq(_FlatTuples):
         self.p = p
         self.f = f
         self.q = self.size
-        if modulus is None:
-            modulus = _find_modulus(p, f)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != f + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree f")
-            if not _is_irreducible(modulus, p):
-                raise ValueError("modulus is reducible")
-        self.modulus = modulus
+        self.modulus = _find_modulus(p, f)
         self._gen = None
         self._fermat = "unchecked"
 
@@ -361,18 +359,18 @@ class Fq(_FlatTuples):
     def frobenius(self, a):
         return self.pow(a, self.p)
 
-    def fermat_check(self, cap: int = 10_000):
+    def fermat_check(self):
         """Witness that a^q != a for some element, or None; memoized.
 
-        Exhaustive for q <= cap (skipped above), using f-fold Frobenius
-        so the exponent never exceeds p.  The elements run as coordinate
-        arrays in chunks, multiplied through ``structure_tensor``; a few
-        of them also run through the scalar ``frobenius``, and one whose
-        two results differ is a witness too.  The witness is the first in
-        index order.
+        Exhaustive for q <= ``_EXHAUSTIVE_CAP`` (skipped above), using
+        f-fold Frobenius so the exponent never exceeds p.  The elements
+        run as coordinate arrays in chunks, multiplied through
+        ``structure_tensor``; a few of them also run through the scalar
+        ``frobenius``, and one whose two results differ is a witness
+        too.  The witness is the first in index order.
         """
         if self._fermat == "unchecked":
-            self._fermat = None if self.q > cap else self._fermat_failure()
+            self._fermat = None if self.q > _EXHAUSTIVE_CAP else self._fermat_failure()
         return self._fermat
 
     def _fermat_failure(self):
@@ -677,8 +675,8 @@ class Ring(_FlatTuples):
                 terms.append(f"({self.field.render(c)}){var}")
         return "+".join(terms) if terms else "0"
 
-    def selftest(self, samples: int = 100, seed: int = 0, exhaustive_cap: int = 10_000):
-        return _run_selftest(self, samples, seed, exhaustive_cap)
+    def selftest(self, seed: int = 0):
+        return _run_selftest(self, seed)
 
 
 @functools.lru_cache(maxsize=None)
@@ -845,10 +843,10 @@ def _teichmuller_product_failure(ring, taus):
     return None
 
 
-def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestReport:
+def _run_selftest(ring: Ring, seed: int) -> SelfTestReport:
     rng = random.Random(seed)
     checks = []
-    small = ring.size <= cap
+    small = ring.size <= _EXHAUSTIVE_CAP
 
     def note(name, ok, mode, witness=None):
         checks.append(SelfTestCheck(name, ok, mode, witness))
@@ -859,7 +857,7 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
     # the Teichmueller lifts of F_q in index order, for the batched witt
     # digit round trip and the exhaustive multiplicativity check; the
     # latter runs batched only while its int64 partial sums are exact
-    pairs_exhaustive = ring.q * ring.q <= cap
+    pairs_exhaustive = ring.q * ring.q <= _EXHAUSTIVE_CAP
     pairs_batched = pairs_exhaustive and products_fit_int64(ring.w, ring.coord_mod)
     need_taus = (small and ring.kind == WITT) or pairs_batched
     taus = _teichmuller_table(ring) if need_taus else None
@@ -875,7 +873,7 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
     else:
         note("cardinality", True, "skipped", "size above exhaustive cap")
         ok, wit = True, None
-        for _ in range(samples):
+        for _ in range(_SAMPLES):
             a = rnd()
             if ring.is_unit(a):
                 if ring.mul(a, ring.inv(a)) != ring.one:
@@ -883,7 +881,7 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
                     break
         note("unit-count", ok, "sampled", wit or "inverses of sampled units verified only")
         ok, wit = True, None
-        for _ in range(samples):
+        for _ in range(_SAMPLES):
             a = rnd()
             if ring.from_digits(ring.witt_digits(a)) != a:
                 ok, wit = False, ring.render(a)
@@ -891,7 +889,7 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
         note("digits-roundtrip", ok, "sampled", wit)
 
     ok, wit = True, None
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         a, b, c = rnd(), rnd(), rnd()
         if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
             ok, wit = False, f"({ring.render(a)}, {ring.render(b)}, {ring.render(c)})"
@@ -899,7 +897,7 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
     note("associativity", ok, "sampled", wit)
 
     ok, wit = True, None
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         a, b, c = rnd(), rnd(), rnd()
         if ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c)):
             ok, wit = False, f"({ring.render(a)}, {ring.render(b)}, {ring.render(c)})"
@@ -917,15 +915,15 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
     if ring.r == 1:
         # the ring is the field and tau is the identity: X^q = X is the
         # field's own Fermat identity, checked once per field and shared
-        bad = fld.fermat_check(cap)
+        bad = fld.fermat_check()
         ok, wit = bad is None, None if bad is None else fld.render(bad)
-        for _ in range(min(samples, 20)):
+        for _ in range(min(_SAMPLES, 20)):
             a = fld.rand(rng)
             ta = ring.teichmuller(a)
             if ring.residue(ta) != a or ring.pow(ta, ring.q) != ta:
                 ok, wit = False, fld.render(a)
                 break
-        note("teichmuller-fixed", ok, "exhaustive" if fld.q <= cap else "sampled", wit)
+        note("teichmuller-fixed", ok, "exhaustive" if fld.q <= _EXHAUSTIVE_CAP else "sampled", wit)
     else:
         ok, wit = True, None
         for a in fld.elements():
@@ -944,7 +942,7 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
             ok, wit = False, f"({fld.render(a)}, {fld.render(b)})"
     else:
         mode = "sampled"
-        for _ in range(samples):
+        for _ in range(_SAMPLES):
             a, b = fld.rand(rng), fld.rand(rng)
             if ring.mul(ring.teichmuller(a), ring.teichmuller(b)) != ring.teichmuller(fld.mul(a, b)):
                 ok, wit = False, f"({fld.render(a)}, {fld.render(b)})"
@@ -952,7 +950,7 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
     note("teichmuller-multiplicative", ok, mode, wit)
 
     ok, wit = True, None
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         a, b = rnd(), rnd()
         for s in range(1, ring.r + 1):
             sub = ring.truncate(s)
@@ -966,7 +964,7 @@ def _run_selftest(ring: Ring, samples: int, seed: int, cap: int) -> SelfTestRepo
 
     if ring.kind == WITT and ring.f == 1:
         ok, wit = True, None
-        for _ in range(samples):
+        for _ in range(_SAMPLES):
             a, b = rnd(), rnd()
             if (ring.mul(a, b)[0] != a[0] * b[0] % ring.pr
                     or ring.add(a, b)[0] != (a[0] + b[0]) % ring.pr):

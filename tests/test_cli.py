@@ -115,6 +115,21 @@ def test_exit_code_arithmetic_limit(capsys):
     assert captured.err == "error: block products would overflow int64\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["classes", "-n", "2", "--kind", "witt", "-p", "7", "-r", "2"],
+     "error: GL_2(Z/49) has 4840416 elements, cap 500000\n"),
+    (["exponent", "-n", "3", "--kind", "witt", "-p", "3", "-r", "3",
+      "--strategy", "exhaustive"],
+     "error: Sylow subgroup of GL_3(Z/27) has 10460353203 elements, cap 20000000\n"),
+], ids=["class-cap", "sylow-cap"])
+def test_exit_code_size_limit(args, message, capsys):
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])

@@ -63,10 +63,11 @@ def test_enumeration_ids_are_deterministic():
     assert np.array_equal(p1.class_of, p2.class_of)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     grp = _group("GL", 2, "witt", 3, 1, 3)  # 314928 elements
+    monkeypatch.setattr(groups, "CLASS_CAP", 1000)
     with pytest.raises(CapExceededError):
-        enumerate_group(grp, cap=1000)
+        enumerate_group(grp)
 
 
 def _outsider(R):
@@ -280,6 +281,17 @@ def test_power_map_matches_scalar_powers():
     for i in range(len(table)):
         sq = table.id_of(table.mat(i) * table.mat(i))
         assert cmap[part.class_of[i]] == part.class_of[sq]
+
+
+def test_class_power_map_rejects_a_map_that_splits_a_class(monkeypatch):
+    _, table, part = _pipeline("SL", 2, "witt", 2, 1, 2)
+    c = int(np.flatnonzero(part.sizes > 1)[0])  # class 0 is the identity alone
+    split = np.arange(len(table))
+    monkeypatch.setattr(groups, "build_power_map", lambda table, e: split)
+    assert np.array_equal(class_power_map(part, 1), np.arange(part.num_classes))
+    split[part.elements_of(c)[-1]] = 0  # one member of c, not its rep, to class 0
+    with pytest.raises(ArithmeticError, match="not constant on a conjugacy class"):
+        class_power_map(part, 1)
 
 
 # ---------------------------------------------------------------------------

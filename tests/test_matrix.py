@@ -8,6 +8,7 @@ from truncgrp import (GroupDesc, Mat, MembershipError, NonUnitError,
                       enumerate_group, exponent_multiple, mat_coords,
                       mat_from_coords, p_exponent, parse_matrix, ring_make,
                       sylow_p_elements, transvection, unitriangular_power)
+from truncgrp import matrix
 from truncgrp.ring import Ring
 
 
@@ -295,11 +296,12 @@ def test_sylow_stream_counts_and_membership():
             assert o == 1  # a genuine p-element
 
 
-def test_sylow_cap_enforced():
+def test_sylow_cap_enforced(monkeypatch):
     grp = GroupDesc("GL", 2, ring_make("witt", 3, 1, 3))
     from truncgrp import CapExceededError
+    monkeypatch.setattr(matrix, "SYLOW_CAP", 100)
     with pytest.raises(CapExceededError):
-        list(sylow_p_elements(grp, cap=100))
+        list(sylow_p_elements(grp))
 
 
 def test_sylow_stream_is_the_unitriangular_preimage():

@@ -7,6 +7,7 @@ from truncgrp import (AlgebraTable, CapExceededError, GroupDesc, Subspace,
                       alg_mul, alg_pow, commutator_space, conjugacy_classes,
                       enumerate_group, kuelshammer_space, nullspace,
                       oracle_profile, perp, ring_make)
+from truncgrp import oracle
 
 
 def _cyclic_table(n):
@@ -200,10 +201,11 @@ def test_oracle_rejects_mismatched_prime():
         oracle_profile(A, part, 3)
 
 
-def test_from_element_table_respects_cap():
+def test_from_element_table_respects_cap(monkeypatch):
     table, _ = _pipeline("SL", 2, "witt", 2, 1, 2)
+    monkeypatch.setattr(oracle, "ORACLE_CAP", 10)
     with pytest.raises(CapExceededError):
-        AlgebraTable.from_element_table(table, 2, cap=10)
+        AlgebraTable.from_element_table(table, 2)
 
 
 def test_from_element_table_matches_scalar_products():

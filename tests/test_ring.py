@@ -545,10 +545,11 @@ def test_selftest_walk_checks_scalar_encode_and_is_unit(monkeypatch):
     (3, 2, 20),  # f > 1: the lifts fit, their products do not
     (2, 2, 64),  # 2^64 > 2^63
 ])
-def test_selftest_teichmuller_pairs_exact_beyond_int64(p, f, r):
+def test_selftest_teichmuller_pairs_exact_beyond_int64(monkeypatch, p, f, r):
     R = ring_make("witt", p, f, r)
     assert not batchmod.products_fit_int64(R.w, R.coord_mod)
-    report = R.selftest(samples=5)
+    monkeypatch.setattr(ringmod, "_SAMPLES", 5)
+    report = R.selftest()
     assert report.ok, report.failures()
     assert _check(report, "teichmuller-multiplicative").mode == "exhaustive"
 
