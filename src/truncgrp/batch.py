@@ -19,6 +19,11 @@ and the product is the truncated convolution C_k = sum_{i+j=k} A_i @ B_j
 mod M: r(r+1)/2 small ``np.matmul`` calls for poly, one for witt, in the
 narrowest signed dtype that holds L*m*(M-1)^2.
 
+One rule picks every dtype: the narrowest integer type (int64 at least
+for arrays built from Python ints, ``int_dtype``) that holds the largest
+value an array can take, else object (exact Python ints, slower).  So
+the one arithmetic limit is ``encode``'s: a key must fit in int64.
+
 This module only moves arrays around; all structure constants are
 produced by the scalar layer in ``ring``, and ``BatchRing`` checks that
 the ring's structure tensor is the truncated convolution of its t^0
@@ -31,17 +36,22 @@ import numpy as np
 
 
 def _min_uint_dtype(bound):
-    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
-        if bound <= np.iinfo(dt).max:
-            return dt
-    raise OverflowError("coordinate modulus too large")
+    """Narrowest unsigned dtype that holds bound, else object."""
+    return next((dt for dt in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if bound <= np.iinfo(dt).max), object)
 
 
 def _min_int_dtype(bound):
-    for dt in (np.int8, np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dt).max:
-            return dt
-    raise OverflowError("block products would overflow int64")
+    """Narrowest signed dtype that holds bound, else object."""
+    return next((dt for dt in (np.int8, np.int16, np.int32, np.int64)
+                 if bound <= np.iinfo(dt).max), object)
+
+
+def int_dtype(bound):
+    """int64 where it holds bound, else object: the dtype of coordinate,
+    structure-constant and index arrays built from Python ints, which
+    numpy must never infer (it reads [1, 2**64 - 1] as float64)."""
+    return np.promote_types(np.int64, _min_int_dtype(bound))
 
 
 def _reduce(a, M):
@@ -51,35 +61,30 @@ def _reduce(a, M):
     a -= a // M * M
 
 
-def tensor_from_mul(mul, w: int) -> np.ndarray:
+def tensor_from_mul(mul, w: int, M: int) -> np.ndarray:
     """T[i, j, k] with e_i * e_j = sum_k T[i, j, k] e_k, from the scalar
-    ``mul`` on the w unit coordinate tuples e_i."""
+    ``mul`` on the w unit coordinate tuples e_i mod M, in the dtype that
+    holds every partial sum of ``tensor_mul``, w * (M - 1)^2."""
     basis = [tuple(int(i == k) for k in range(w)) for i in range(w)]
-    T = np.zeros((w, w, w), dtype=np.int64)
+    T = np.zeros((w, w, w), dtype=int_dtype(w * (M - 1) ** 2))
     for i in range(w):
         for j in range(w):
             T[i, j] = mul(basis[i], basis[j])
     return T
 
 
-def products_fit_int64(w, M) -> bool:
-    """Whether sums of w products of residues mod M stay inside int64,
-    as every partial sum of ``tensor_mul`` must."""
-    return w * (M - 1) ** 2 < 2 ** 63
-
-
 def _regrep(T, M, a):
     """(..., w) coordinate vectors to their (..., w, w) multiplication
     matrices mod M: R(a)[k, j] = sum_i a_i T[i, j, k]."""
-    rep = np.tensordot(np.asarray(a, dtype=np.int64), T, axes=([-1], [0]))  # (..., j, k)
+    rep = np.tensordot(np.asarray(a, dtype=T.dtype), T, axes=([-1], [0]))  # (..., j, k)
     return rep.swapaxes(-1, -2) % M
 
 
 def tensor_mul(T, M, a, b):
-    """Products of (..., w) coordinate vectors mod M under the tensor T.
-
-    The multiplication matrix of a (reduced mod M) is applied to b, so a
-    partial sum stays below w * (M - 1)^2 (see ``products_fit_int64``)."""
+    """Products of (..., w) coordinate vectors mod M under the tensor T,
+    exactly: the multiplication matrix of a (reduced mod M) is applied to
+    b, so a partial sum stays below w * (M - 1)^2, which T's dtype holds
+    (``tensor_from_mul``)."""
     return np.einsum("...kj,...j->...k", _regrep(T, M, a), b) % M
 
 
@@ -98,7 +103,7 @@ def _convolution_tensor(T0, L):
     """(L*c, L*c, L*c) structure tensor of (R[t]/t^L) from the (c, c, c)
     tensor T0 of R, on the basis t^k e_a (index k*c + a)."""
     c = len(T0)
-    T = np.zeros((L, c, L, c, L, c), dtype=np.int64)
+    T = np.zeros((L, c, L, c, L, c), dtype=T0.dtype)
     for i in range(L):
         for j in range(L - i):
             T[i, :, j, :, i + j] = T0
@@ -130,9 +135,11 @@ class BatchRing:
         if not np.array_equal(self.T, _convolution_tensor(self.T0, self.L)):
             raise ArithmeticError(f"{ring!r}: multiplication is not a truncated "
                                   "convolution of its t^0 coefficients")
-        # ring operations on (..., w) coordinate vectors, named as on ring.Ring
-        self.zero = np.zeros(self.w, dtype=np.int64)
-        self.one = np.array(ring.one, dtype=np.int64)
+        # ring operations on (..., w) coordinate vectors, named as on ring.Ring;
+        # the dtype of their operands holds the sum of two residues and M
+        self.add_dtype = int_dtype(2 * (self.M - 1))
+        self.zero = np.zeros(self.w, dtype=self.add_dtype)
+        self.one = np.array(ring.one, dtype=self.add_dtype)
 
     def add(self, a, b):
         return (a + b) % self.M
@@ -141,7 +148,8 @@ class BatchRing:
         return -a % self.M
 
     def mul(self, a, b):
-        """Products of (..., w) coordinate vectors: 1 x 1 ``matmul``."""
+        """Products of (..., w) coordinate vectors: 1 x 1 ``matmul``, so
+        exact for every M (Python ints where int64 cannot hold the sums)."""
         return self.matmul(a[..., None, None, :], b[..., None, None, :])[..., 0, 0, :]
 
     def _dtype(self, n):
@@ -151,7 +159,7 @@ class BatchRing:
 
     def identity(self, n: int) -> np.ndarray:
         """(n, n, w) coordinates of the n x n identity."""
-        ident = np.zeros((n, n, self.w), dtype=np.int64)
+        ident = np.zeros((n, n, self.w), dtype=self.add_dtype)
         ident[range(n), range(n)] = self.one
         return ident
 
@@ -222,7 +230,7 @@ class BatchRing:
         D = n * n * w
         zero = Mat.zero(R, n)
         units = [tuple(int(k == c) for c in range(w)) for k in range(w)]
-        lin = np.empty((D, D), dtype=np.int64)
+        lin = np.empty((D, D), dtype=int_dtype(self.M - 1))
         for d in range(D):
             i, j, k = d // (n * w), d // w % n, d % w
             x = zero.with_entry(i, j, units[k])
@@ -264,7 +272,7 @@ class BatchRing:
         c = np.asarray(coords)
         n = c.shape[-2]
         d = n * n * self.w
-        if d * np.log2(max(self.M, 2)) > 62:
+        if self.M ** d > 2 ** 62:
             raise OverflowError("matrix does not fit in an int64 key")
         flat = c.reshape(c.shape[:-3] + (d,))
         keys = flat[..., d - 1].astype(np.int64)

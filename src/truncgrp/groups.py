@@ -310,8 +310,6 @@ def conjugacy_classes(table: ElementTable) -> Partition:
 
 def build_power_map(table: ElementTable, e: int) -> np.ndarray:
     """ids of x^e for every element id x."""
-    if len(table) == 1:  # the trivial group: no generators, stacks may not fit
-        return np.zeros(1, dtype=np.int64)
     br = table.batch
     return table.ids_from_keys(br.encode(br.matpow(table.coords, e)))
 
@@ -353,8 +351,6 @@ class KuelshammerProfile:
 def _p_regular_class_count(part: Partition, p: int) -> int:
     """Classes whose elements have order prime to p (batch check on reps)."""
     group = part.table.group
-    if len(part.table) == 1:  # the trivial group: its identity is p-regular
-        return 1
     factors = exponent_multiple(group)
     mprime = 1
     for ell, e in factors.items():
@@ -542,11 +538,12 @@ def load_cache(path, group: GroupDesc):
     (magic, version, encver, family, n, kind, p, f, r,
      size, w, coord_bytes, ncls) = _HEADER.unpack(body[:_HEADER.size])
     R = group.ring
+    coord_dtype = np.dtype(BatchRing.get(R).coord_dtype)
     expected = (CACHE_MAGIC, CACHE_VERSION, ringmod.ENCODING_VERSION,
                 group.family.encode(), group.n, R.kind.encode().ljust(4, b"\0"),
-                R.p, R.f, R.r, group.order(), R.w)
+                R.p, R.f, R.r, group.order(), R.w, coord_dtype.itemsize)
     got = (magic, version, encver, family, n, kind.ljust(4, b"\0"),
-           p, f, r, size, w)
+           p, f, r, size, w, coord_bytes)
     if got != expected:
         log.warning("cache %s: parameter mismatch, ignoring", path)
         return None
@@ -559,8 +556,7 @@ def load_cache(path, group: GroupDesc):
     if coords.max() >= R.coord_mod:
         log.warning("cache %s: coordinates out of range, ignoring", path)
         return None
-    coords = coords.reshape(size, group.n, group.n, w).astype(
-        BatchRing.get(R).coord_dtype)
+    coords = coords.reshape(size, group.n, group.n, w).astype(coord_dtype)
     class_of = np.frombuffer(payload[coords_len:], dtype="<u4").astype(np.int32)
     if class_of.size and class_of.max() >= ncls:
         log.warning("cache %s: class labels out of range, ignoring", path)

@@ -417,8 +417,9 @@ def _sylow_tables(R, pim_indices):
     fels = list(F.elements())
     pim = [R.from_digits([F.zero] + [fels[k // q ** e % q] for e in reversed(range(R.r - 1))])
            for k in pim_indices]
-    return (np.array([R.lift(a) for a in fels], dtype=np.int64),
-            np.array(pim, dtype=np.int64))
+    dtype = batchmod.BatchRing.get(R).add_dtype  # _sylow_coords adds them
+    return (np.array([R.lift(a) for a in fels], dtype=dtype),
+            np.array(pim, dtype=dtype))
 
 
 def _sylow_coords(group: GroupDesc, lifts, pim, digits) -> np.ndarray:
@@ -433,7 +434,7 @@ def _sylow_coords(group: GroupDesc, lifts, pim, digits) -> np.ndarray:
     R, n = group.ring, group.n
     br = batchmod.BatchRing.get(R)
     upper, free = _sylow_positions(group)
-    u = np.broadcast_to(br.identity(n), (len(digits), n, n, R.w)).copy()
+    u = np.broadcast_to(br.identity(n), (len(digits), n, n, R.w)).astype(lifts.dtype)
     k = u.copy()
     cols = iter(digits.T)
     for i, j in upper:
@@ -484,7 +485,8 @@ def _sampled_digits(group: GroupDesc, trials: int, seed: int) -> np.ndarray:
         return idx
     rows = [[rng.randrange(q) for _ in upper] + [pim_index() for _ in free]
             for _ in range(trials)]
-    return np.array(rows, dtype=np.int64).reshape(trials, len(upper) + len(free))
+    dtype = batchmod.int_dtype(q ** (r - 1) - 1)
+    return np.array(rows, dtype=dtype).reshape(trials, len(upper) + len(free))
 
 
 def sylow_p_elements(group: GroupDesc):
@@ -519,7 +521,7 @@ class ExponentResult:
 
 
 def mat_coords(mat: Mat) -> np.ndarray:
-    return np.array(mat.rows, dtype=np.int64)
+    return np.array(mat.rows, dtype=batchmod.int_dtype(mat.ring.coord_mod - 1))
 
 
 def mat_from_coords(ring, arr) -> Mat:
@@ -583,7 +585,7 @@ def p_exponent(group: GroupDesc, strategy: str = "exhaustive", trials: int = 100
         kernel = digits[:, len(_sylow_positions(group)[0]):]
         drawn, inverse = np.unique(kernel, return_inverse=True)
         kernel[:] = inverse.reshape(kernel.shape)
-        chunks = [_sylow_coords(group, *_sylow_tables(R, drawn.tolist()), digits)]
+        chunks = [_sylow_coords(group, *_sylow_tables(R, drawn.tolist()), digits.astype(np.int64))]
         note += f"; lower bound from {trials} samples"
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

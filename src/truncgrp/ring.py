@@ -45,10 +45,10 @@ Byte encoding (version 1): the coordinates, each little-endian in the
 fixed width of coord_mod - 1.
 
 Self test: ``Ring.selftest`` runs a check exhaustively when what it
-walks has at most ``_EXHAUSTIVE_CAP`` members: the residue field's
-Fermat identity (q elements), cardinality, unit count and the digit
-round trip (the ring's elements), and Teichmueller multiplicativity
-(q^2 pairs).  Above the cap it samples, or is skipped (cardinality); a
+walks has at most ``_EXHAUSTIVE_CAP`` members: the Teichmueller fixed
+points (the q lifts; for r = 1 the residue field's Fermat identity),
+cardinality, unit count and the digit round trip (the ring's elements),
+and Teichmueller multiplicativity (q^2 pairs).  Above the cap it samples, or is skipped (cardinality); a
 sampled check draws at most ``_SAMPLES`` seeded random elements.  The
 exhaustive checks run on numpy coordinate arrays in chunks of
 ``_SELFTEST_CHUNK`` elements.  Products there come from
@@ -56,11 +56,11 @@ exhaustive checks run on numpy coordinate arrays in chunks of
 under test computes on its basis, and Witt digits from one table of
 the q lifts of ``teichmuller``.  A few elements of each batched check
 also run through the scalar Frobenius, ``encode``, ``is_unit`` or
-digit maps; a disagreement fails the check.  Teichmueller
-multiplicativity runs batched only while its int64 sums are exact
-(``batch.products_fit_int64``), and otherwise runs its q^2 pairs
-through the scalar arithmetic.  The sampled checks stay scalar and tie
-the tensors to ``Fq.mul`` and ``Ring.mul``.
+digit maps; a disagreement fails the check.  Lift tables and structure
+tensors hold Python ints where int64 cannot hold their sums
+(``batch.int_dtype``), so the batched checks are exact at every r.  The
+sampled checks stay scalar and tie the tensors to ``Fq.mul`` and
+``Ring.mul``.
 
 Text forms: poly elements render like ``1+2t+t^2``, witt elements as
 plain integers (f = 1) or x-polynomials.  ``parse_element`` accepts
@@ -80,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import products_fit_int64, square_and_multiply, tensor_from_mul, tensor_mul
+from .batch import int_dtype, square_and_multiply, tensor_from_mul, tensor_mul
 from .errors import NonUnitError, ParseError
 
 POLY = "poly"
@@ -285,7 +285,7 @@ class _FlatTuples:
     def structure_tensor(self):
         """(w, w, w) structure tensor of this instance's ``mul`` on the
         coordinate basis."""
-        return tensor_from_mul(self.mul, self.w)
+        return tensor_from_mul(self.mul, self.w, self.coord_mod)
 
     def index(self, a) -> int:
         k = 0
@@ -715,7 +715,7 @@ class SelfTestReport:
 def _teichmuller_table(ring):
     """(q, w) coordinates of tau(a) for a over F_q in index order."""
     return np.array([ring.teichmuller(a) for a in ring.field.elements()],
-                    dtype=np.int64).reshape(ring.q, ring.w)
+                    dtype=int_dtype(ring.coord_mod - 1)).reshape(ring.q, ring.w)
 
 
 def _digit_roundtrip(ring, taus, a):
@@ -819,17 +819,10 @@ def _teichmuller_product_failure(ring, taus):
     """First pair index a * q + b (a outer, index order) with
     tau(a) tau(b) != tau(ab), or None.
 
-    With a lift table ``taus``, ring and field products come from the
-    structure tensors of ``ring.mul`` and ``ring.field.mul``.  Without one
-    (the products would overflow int64) the pairs run through the scalar
-    ``mul`` and ``teichmuller`` on Python integers."""
+    Ring and field products come from the structure tensors of
+    ``ring.mul`` and ``ring.field.mul``, on the lift table ``taus``; both
+    hold Python ints where int64 cannot, so the products are exact."""
     fld, q, p, M = ring.field, ring.q, ring.p, ring.coord_mod
-    if taus is None:
-        fels = list(fld.elements())
-        for k, (a, b) in enumerate(itertools.product(fels, repeat=2)):
-            if ring.mul(ring.teichmuller(a), ring.teichmuller(b)) != ring.teichmuller(fld.mul(a, b)):
-                return k
-        return None
     ring_t, field_t = ring.structure_tensor(), fld.structure_tensor()
     fels = _index_coords(range(q), p, ring.f)
     weights = p ** np.arange(ring.f, dtype=np.int64)
@@ -855,11 +848,9 @@ def _run_selftest(ring: Ring, seed: int) -> SelfTestReport:
         return ring.rand(rng)
 
     # the Teichmueller lifts of F_q in index order, for the batched witt
-    # digit round trip and the exhaustive multiplicativity check; the
-    # latter runs batched only while its int64 partial sums are exact
+    # digit round trip and the exhaustive multiplicativity check
     pairs_exhaustive = ring.q * ring.q <= _EXHAUSTIVE_CAP
-    pairs_batched = pairs_exhaustive and products_fit_int64(ring.w, ring.coord_mod)
-    need_taus = (small and ring.kind == WITT) or pairs_batched
+    need_taus = (small and ring.kind == WITT) or pairs_exhaustive
     taus = _teichmuller_table(ring) if need_taus else None
 
     # one exhaustive walk when the ring is small enough: distinctness of
@@ -925,18 +916,19 @@ def _run_selftest(ring: Ring, seed: int) -> SelfTestReport:
                 break
         note("teichmuller-fixed", ok, "exhaustive" if fld.q <= _EXHAUSTIVE_CAP else "sampled", wit)
     else:
+        exhaustive = fld.q <= _EXHAUSTIVE_CAP
         ok, wit = True, None
-        for a in fld.elements():
+        for a in fld.elements() if exhaustive else (fld.rand(rng) for _ in range(_SAMPLES)):
             ta = ring.teichmuller(a)
             if ring.pow(ta, ring.q) != ta or ring.residue(ta) != a:
                 ok, wit = False, fld.render(a)
                 break
-        note("teichmuller-fixed", ok, "exhaustive", wit)
+        note("teichmuller-fixed", ok, "exhaustive" if exhaustive else "sampled", wit)
 
     ok, wit = True, None
     if pairs_exhaustive:
         mode = "exhaustive"
-        k = _teichmuller_product_failure(ring, taus if pairs_batched else None)
+        k = _teichmuller_product_failure(ring, taus)
         if k is not None:
             a, b = fld.from_index(k // ring.q), fld.from_index(k % ring.q)
             ok, wit = False, f"({fld.render(a)}, {fld.render(b)})"

@@ -145,12 +145,18 @@ def test_encode_is_the_mixed_radix_key(kind, p, f, r, n, rng):
 def test_encode_overflow_guard():
     R = ring_make("witt", 2, 1, 40)  # M = 2^40, 2x2: 4*40 bits >> 62
     br = BatchRing.get(R)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="matrix does not fit in an int64 key"):
         br.encode(np.zeros((1, 2, 2, 1), dtype=np.int64))
-    with pytest.raises(OverflowError):
-        br.block(np.zeros((1, 2, 2, 1), dtype=np.int64))
-    with pytest.raises(OverflowError):
-        br.matmul(np.zeros((1, 2, 2, 1), dtype=np.int64), np.zeros((2, 2, 1), dtype=np.int64))
+    # the t-stacks and their products are exact past int64
+    top = R.from_coords([R.coord_mod - 1])
+    x = Mat(R, [[top, top], [R.one, top]])
+    coords = mat_coords(x)
+    assert np.array_equal(br.block(coords[None])[0, 0], coords[..., 0])
+    assert mat_from_coords(R, br.matmul(coords, coords)) == x * x
+    # M >= 2^64: the guard compares exactly, with no float conversion
+    R = ring_make("witt", 2, 1, 70)
+    with pytest.raises(OverflowError, match="matrix does not fit in an int64 key"):
+        BatchRing.get(R).encode(np.zeros((1, 1, 1, 1), dtype=object))
 
 
 def test_batchring_is_cached_per_ring():
@@ -312,13 +318,30 @@ def test_product_map_agrees_with_stacks_and_scalar(kind, p, f, r, acc, n, rng):
 
 
 def test_apply_map_overflow_is_defined():
-    R = ring_make("witt", 2, 1, 40)  # D (M - 1)^2 = (2^40 - 1)^2 >= 2^63
+    R = ring_make("witt", 2, 1, 40)  # D (M - 1)^2 = (2^40 - 1)^2 >= 2^63: Python ints
     br = BatchRing.get(R)
     x = Mat(R, [[R.from_coords([3])]])
     lin = br.product_map(1, right=x)
     assert lin.tolist() == [[3]]
-    with pytest.raises(OverflowError):
-        br.apply_map(lin, mat_coords(x).reshape(1, 1))
+    rows = np.array([[R.coord_mod - 1], [5]], dtype=np.int64)
+    assert br.apply_map(lin, rows).tolist() == [[R.coord_mod - 3], [15]]
+
+
+@pytest.mark.parametrize("p, f, r", [
+    (2, 1, 40),  # the coordinates fit int64, sums of their products do not
+    (2, 1, 70),  # the coordinates do not fit either
+    (3, 2, 41),
+])
+def test_matmul_and_matpow_exact_beyond_int64(p, f, r, rng):
+    R = ring_make("witt", p, f, r)
+    br = BatchRing.get(R)
+    top = Mat(R, [[R.from_coords([R.coord_mod - 1] * R.w)] * 2] * 2)
+    mats = [top] + [_rand_mat(R, 2, rng) for _ in range(3)]
+    coords = np.array([mat_coords(m) for m in mats])
+    assert br.block(coords).dtype == object
+    prods = br.matmul(coords, coords[::-1])
+    assert _to_mats(R, prods) == [x * y for x, y in zip(mats, mats[::-1])]
+    assert _to_mats(R, br.matpow(coords, 5)) == [m ** 5 for m in mats]
 
 
 def _product_to(R, a, b, k):

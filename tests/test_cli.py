@@ -106,13 +106,32 @@ def test_exit_code_bad_ring_params(capsys):
 
 
 def test_exit_code_arithmetic_limit(capsys):
-    # coordinates mod 2^40: the batch products would overflow int64
-    rc = main(["exponent", "-n", "2", "--kind", "witt", "-p", "2", "-r", "40",
-               "--strategy", "sampled", "--trials", "5"])
+    # coordinates mod 2^70: the element keys would overflow int64
+    rc = main(["classes", "--family", "SL", "-n", "1", "--kind", "witt", "-p", "2",
+               "-r", "70"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert captured.err == "error: block products would overflow int64\n"
+    assert captured.err == "error: matrix does not fit in an int64 key\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["-n", "3", "--kind", "witt", "-p", "2", "-r", "40"],
+    ["-n", "2", "--kind", "witt", "-p", "2", "-r", "40", "--strategy", "sampled", "--trials", "5"],
+    ["-n", "2", "--kind", "poly", "-p", "2", "-r", "70", "--strategy", "sampled", "--trials", "5"],
+    ["--family", "SL", "-n", "3", "--kind", "witt", "-p", "5", "-r", "27", "--strategy", "sampled",
+     "--trials", "5"],
+    ["--family", "SL", "-n", "2", "--kind", "witt", "-p", "2", "-r", "63", "--strategy", "sampled",
+     "--trials", "5"],
+], ids=["witt-auto", "witt-sampled", "poly-sampled", "sl-sums", "sl-modulus"])
+def test_exponent_beyond_int64(args, capsys):
+    # stack sums past int64 (witt), kernel digit indices past int64 (poly),
+    # sums of two residues in the SL corner solve past int64 (5^27 > 2^62),
+    # and a modulus 2^63 that int64 cannot hold
+    rc = main(["--format", "json", "exponent"] + args)
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert rc == 0
+    assert results["value"] <= results["upper_bound"]
 
 
 @pytest.mark.parametrize("args, message", [
@@ -184,8 +203,7 @@ def test_classes_command_lists_sizes(capsys):
 
 
 def test_classes_of_the_trivial_group_need_no_products(capsys):
-    # SL_1 over Z/2^40: its blocks would overflow int64, but with no
-    # generators the one class needs no product
+    # SL_1 over Z/2^40: with no generators the one class needs no product
     rc = main(["--format", "json", "classes", "--family", "SL", "-n", "1",
                "--kind", "witt", "-p", "2", "-r", "40"])
     data = json.loads(capsys.readouterr().out)
@@ -194,8 +212,8 @@ def test_classes_of_the_trivial_group_need_no_products(capsys):
 
 
 def test_kuelshammer_of_the_trivial_group_needs_no_stacks(capsys):
-    # x^2 and the p-regular check of the identity need no t-stack, whose
-    # dtype would have to hold sums of products of residues mod 2^40
+    # x^2 of the identity goes through a t-stack of Python ints: sums of
+    # products of residues mod 2^40 do not fit int64
     rc = main(["--format", "json", "kuelshammer", "--family", "SL", "-n", "1",
                "--kind", "witt", "-p", "2", "-r", "40"])
     data = json.loads(capsys.readouterr().out)

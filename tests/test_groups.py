@@ -483,6 +483,26 @@ def test_cache_rejects_bad_elements_with_valid_checksum(tmp_path, caplog, edit, 
     assert reason in caplog.text
 
 
+@pytest.mark.parametrize("width", [2, 3])
+def test_cache_rejects_wrong_coordinate_width(tmp_path, caplog, width):
+    grp, _, part = _pipeline("SL", 2, "witt", 2, 1, 2)  # Z/4: one byte per entry
+    path = tmp_path / "x.kkg"
+    save_cache(path, part)
+    body = path.read_bytes()[:-4]
+    header = list(groups._HEADER.unpack_from(body))
+    size, start = header[9], groups._HEADER.size
+    header[11] = width
+    # the same coordinates, each widened to width bytes
+    coords = np.frombuffer(body[start:len(body) - 4 * size], np.uint8)
+    wide = np.zeros((coords.size, width), np.uint8)
+    wide[:, 0] = coords
+    body = groups._HEADER.pack(*header) + wide.tobytes() + body[len(body) - 4 * size:]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with caplog.at_level(logging.WARNING, logger="truncgrp.groups"):
+        assert load_cache(path, grp) is None
+    assert "parameter mismatch" in caplog.text
+
+
 def test_cache_rejects_labels_out_of_first_occurrence_order(tmp_path, caplog):
     grp, _, part = _pipeline("SL", 2, "witt", 2, 1, 2)
     path = tmp_path / "x.kkg"

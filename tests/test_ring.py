@@ -13,7 +13,6 @@ from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem, gf_strip
 
 from truncgrp import (NonUnitError, ParseError, field_make, parse_element,
                       ring_make)
-from truncgrp import batch as batchmod
 from truncgrp import ring as ringmod
 from truncgrp.ring import Fq, Ring
 
@@ -547,11 +546,20 @@ def test_selftest_walk_checks_scalar_encode_and_is_unit(monkeypatch):
 ])
 def test_selftest_teichmuller_pairs_exact_beyond_int64(monkeypatch, p, f, r):
     R = ring_make("witt", p, f, r)
-    assert not batchmod.products_fit_int64(R.w, R.coord_mod)
+    assert R.structure_tensor().dtype == object  # products on Python ints
     monkeypatch.setattr(ringmod, "_SAMPLES", 5)
     report = R.selftest()
     assert report.ok, report.failures()
     assert _check(report, "teichmuller-multiplicative").mode == "exhaustive"
+
+
+@pytest.mark.parametrize("kind", ["witt", "poly"])
+def test_selftest_teichmuller_fixed_samples_above_the_cap(monkeypatch, kind):
+    R = ring_make(kind, 5, 1, 2)
+    assert _check(R.selftest(), "teichmuller-fixed").mode == "exhaustive"
+    monkeypatch.setattr(ringmod, "_EXHAUSTIVE_CAP", 4)  # q = 5 lifts to walk
+    fixed = _check(R.selftest(), "teichmuller-fixed")
+    assert fixed.ok and fixed.mode == "sampled"
 
 
 # ---------------------------------------------------------------------------
