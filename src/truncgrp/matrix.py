@@ -13,7 +13,8 @@ upper unitriangular group (u an entrywise lift, k in the congruence
 kernel), built chunk by chunk as numpy coordinate arrays by one
 generator: exhaustive mode indexes the whole subgroup, sampled mode
 seeded random elements of it.  Orders come from batched p-th powers,
-and the witness is re-checked with the scalar ``element_order``.
+and the witness's order p^k is re-checked by scalar ``Mat`` powers:
+x^(p^k) = 1 and, for k >= 1, x^(p^(k-1)) != 1.
 
 Matrix literals use ';' between rows and ',' between entries, each
 entry a ring-element expression: ``"1,1,0;t,1,1;t,0,1"``.  Witt-kind
@@ -462,8 +463,10 @@ def _sylow_chunks(group: GroupDesc):
     size = group.sylow_size()
     if size > SYLOW_CAP:
         raise CapExceededError(f"Sylow subgroup of {group.label} has {size} elements, cap {SYLOW_CAP}")
-    lifts, pim = _sylow_tables(group.ring, range(group.ring.q ** (group.ring.r - 1)))
+    R = group.ring
     upper, free = _sylow_positions(group)
+    # SL_1 has no free kernel entry, so pi * O_r is not indexed at all
+    lifts, pim = _sylow_tables(R, range(R.q ** (R.r - 1) if free else 0))
     radices = np.array([len(lifts)] * len(upper) + [len(pim)] * len(free), dtype=np.int64)
     weights = np.cumprod(radices[::-1])[::-1] // radices
     for start in range(0, size, _ORDER_CHUNK):
@@ -598,7 +601,15 @@ def p_exponent(group: GroupDesc, strategy: str = "exhaustive", trials: int = 100
             best = coords[int(np.argmax(steps))]
     witness = mat_from_coords(R, best)
     value = p ** best_k
-    if element_order(witness, group) != value:
+    if not group.contains(witness):
+        raise MembershipError(f"matrix is not in {group.label}")
+    # the scalar order is p^k: x^(p^k) = 1, and x^(p^(k-1)) != 1 for k >= 1
+    if best_k == 0:
+        ok = witness.is_identity()
+    else:
+        below = witness ** (value // p)
+        ok = not below.is_identity() and (below ** p).is_identity()
+    if not ok:
         raise ArithmeticError("batch order disagrees with scalar order")
     return ExponentResult(value, strategy, witness, upper, note)
 

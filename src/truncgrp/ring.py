@@ -48,13 +48,16 @@ Self test: ``Ring.selftest`` runs a check exhaustively when what it
 walks has at most ``_EXHAUSTIVE_CAP`` members: the Teichmueller fixed
 points (the q lifts; for r = 1 the residue field's Fermat identity),
 cardinality, unit count and the digit round trip (the ring's elements),
-and Teichmueller multiplicativity (q^2 pairs).  Above the cap it samples, or is skipped (cardinality); a
-sampled check draws at most ``_SAMPLES`` seeded random elements.  The
-exhaustive checks run on numpy coordinate arrays in chunks of
-``_SELFTEST_CHUNK`` elements.  Products there come from
-``structure_tensor``, which the scalar ``mul`` of the very Fq or Ring
-under test computes on its basis, and Witt digits from one table of
-the q lifts of ``teichmuller``.  A few elements of each batched check
+and Teichmueller multiplicativity (q^2 pairs).  Above the cap it
+samples, or is skipped (cardinality); a sampled check draws at most
+``_SAMPLES`` seeded random elements.  The exhaustive checks run on
+numpy coordinate arrays in chunks of ``_SELFTEST_CHUNK`` elements.
+Products there come from ``structure_tensor``, which the scalar ``mul``
+of the very Fq or Ring under test computes on its basis, and Witt
+digits from one table of the q lifts of ``teichmuller``.  The Fermat
+identity a^q = a takes one p-th power per element of F_q, kept as an
+index table of a -> a^p, and reads a^q off it by composing the table f
+times, with no further product.  A few elements of each batched check
 also run through the scalar Frobenius, ``encode``, ``is_unit`` or
 digit maps; a disagreement fails the check.  Lift tables and structure
 tensors hold Python ints where int64 cannot hold their sums
@@ -362,10 +365,11 @@ class Fq(_FlatTuples):
     def fermat_check(self):
         """Witness that a^q != a for some element, or None; memoized.
 
-        Exhaustive for q <= ``_EXHAUSTIVE_CAP`` (skipped above), using
-        f-fold Frobenius so the exponent never exceeds p.  The elements
-        run as coordinate arrays in chunks, multiplied through
-        ``structure_tensor``; a few of them also run through the scalar
+        Exhaustive for q <= ``_EXHAUSTIVE_CAP`` (skipped above).  Each
+        element is raised to the p-th power once, as coordinate arrays
+        in chunks multiplied through ``structure_tensor``, which gives
+        the index table of a -> a^p; a^q is that table composed f
+        times.  A few elements also run through the scalar f-fold
         ``frobenius``, and one whose two results differ is a witness
         too.  The witness is the first in index order.
         """
@@ -378,26 +382,23 @@ class Fq(_FlatTuples):
         batch and the scalar Frobenius disagree; None if there is none."""
         p, f, q = self.p, self.f, self.q
         mul = functools.partial(tensor_mul, self.structure_tensor(), p)
-
-        def frobenius_f(x):
-            for _ in range(f):
-                x = square_and_multiply(mul, x, p)
-            return x
-
-        bad = []
-        sample = _agreement_indices(q)
-        for k, row in zip(sample, frobenius_f(_index_coords(sample, p, f)).tolist()):
+        place = p ** np.arange(f, dtype=np.int64)
+        # frob[k] is the index of a^p for the element a of index k, so
+        # a^(p^f) is frob composed f times: (a^p)^p is read off a^p's row
+        frob = np.empty(q, dtype=np.int64)
+        for start in range(0, q, _SELFTEST_CHUNK):
+            a = _index_coords(range(start, min(q, start + _SELFTEST_CHUNK)), p, f)
+            frob[start:start + len(a)] = square_and_multiply(mul, a, p) @ place
+        image = frob
+        for _ in range(f - 1):
+            image = frob[image]
+        bad = np.flatnonzero(image != np.arange(q))[:1].tolist()
+        for k in _agreement_indices(q):
             x = self.from_index(k)
             for _ in range(f):
                 x = self.frobenius(x)
-            if x != tuple(row):
+            if self.index(x) != image[k]:
                 bad.append(k)
-                break
-        for start in range(0, q, _SELFTEST_CHUNK):
-            a = _index_coords(range(start, min(q, start + _SELFTEST_CHUNK)), p, f)
-            rows = np.flatnonzero((frobenius_f(a) != a).any(axis=1))
-            if rows.size:
-                bad.append(start + int(rows[0]))
                 break
         return self.from_index(min(bad)) if bad else None
 
@@ -941,13 +942,17 @@ def _run_selftest(ring: Ring, seed: int) -> SelfTestReport:
                 break
     note("teichmuller-multiplicative", ok, mode, wit)
 
+    # s = r is omitted: truncate(r) is the ring and reduce_to(x, r) is x.
+    # a and b are drawn even for r = 1, which keeps the random stream
+    # of the checks that follow
     ok, wit = True, None
     for _ in range(_SAMPLES):
         a, b = rnd(), rnd()
-        for s in range(1, ring.r + 1):
+        ab, a_plus_b = ring.mul(a, b), ring.add(a, b)
+        for s in range(1, ring.r):
             sub = ring.truncate(s)
-            if (ring.reduce_to(ring.mul(a, b), s) != sub.mul(ring.reduce_to(a, s), ring.reduce_to(b, s))
-                    or ring.reduce_to(ring.add(a, b), s) != sub.add(ring.reduce_to(a, s), ring.reduce_to(b, s))):
+            if (ring.reduce_to(ab, s) != sub.mul(ring.reduce_to(a, s), ring.reduce_to(b, s))
+                    or ring.reduce_to(a_plus_b, s) != sub.add(ring.reduce_to(a, s), ring.reduce_to(b, s))):
                 ok, wit = False, f"s={s}: ({ring.render(a)}, {ring.render(b)})"
                 break
         if not ok:

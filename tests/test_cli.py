@@ -222,6 +222,16 @@ def test_kuelshammer_of_the_trivial_group_needs_no_stacks(capsys):
     assert data["results"]["p_regular_classes"] == 1
 
 
+def test_compare_of_the_trivial_group_indexes_no_kernel(capsys):
+    # SL_1 has no free kernel entry: the Sylow walk must not build the
+    # 2^39 elements of 2 * Z/2^40
+    rc = main(["--format", "json", "compare", "--family", "SL", "-n", "1",
+               "-p", "2", "-r", "40"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert data["results"]["sylow_exponent_a"] == data["results"]["sylow_exponent_b"] == 1
+
+
 _MAIN = "from truncgrp.cli import main\nsys.exit(main(sys.argv[1:]))"
 
 

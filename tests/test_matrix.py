@@ -350,6 +350,31 @@ def test_sampled_p_exponent_builds_only_the_drawn_kernel_entries(monkeypatch):
     assert 1 <= len(calls) <= 5 * 4
 
 
+def test_p_exponent_checks_its_witness_with_few_products(monkeypatch):
+    # x^(p^(k-1)) != 1 and x^(p^k) = 1, not the full exponent multiple
+    grp = GroupDesc("GL", 2, ring_make("poly", 3, 2, 45))
+    calls = [0]
+    mul = Mat.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    res = p_exponent(grp, strategy="sampled", trials=3)
+    assert res.value == 3 ** 5
+    assert 0 < calls[0] <= 2 * res.value.bit_length()
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_p_exponent_rejects_a_wrong_batch_order(monkeypatch, shift):
+    grp = GroupDesc("GL", 2, ring_make("witt", 3, 1, 2))
+    batch_orders = matrix._batch_orders
+    monkeypatch.setattr(matrix, "_batch_orders",
+                        lambda *args: batch_orders(*args) + shift)
+    with pytest.raises(ArithmeticError, match="batch order disagrees"):
+        p_exponent(grp)
+
+
 def test_p_exponent_exhaustive_values():
     cases = [
         ("SL", 2, "witt", 2, 1, 2, 4),

@@ -480,6 +480,23 @@ def test_fermat_disagreement_between_batch_and_scalar_is_a_witness(monkeypatch):
     assert F.fermat_check() == wrong
 
 
+@pytest.mark.parametrize("p, f", [(2, 11), (2, 3), (3, 5), (7, 2)])
+def test_fermat_walk_makes_one_pth_power_per_element(monkeypatch, p, f):
+    # a^q is read off the table of a -> a^p, so the batched products do
+    # not grow with f
+    calls = [0]
+    tensor_mul = ringmod.tensor_mul
+
+    def counted(*args):
+        calls[0] += 1
+        return tensor_mul(*args)
+    monkeypatch.setattr(ringmod, "tensor_mul", counted)
+    F = Fq(p, f)
+    assert F._fermat_failure() is None
+    chunks = -(-F.q // ringmod._SELFTEST_CHUNK)
+    assert 0 < calls[0] <= chunks * (p.bit_length() - 1 + bin(p).count("1") - 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["witt", "poly"]), p=st.sampled_from([2, 3, 5]),
        f=st.integers(1, 3), r=st.integers(1, 4), data=st.data())
@@ -521,6 +538,19 @@ def test_selftest_batch_checks_report_failures():
 
 def _check(report, name):
     return next(c for c in report.checks if c.name == name)
+
+
+@pytest.mark.parametrize("kind", ["witt", "poly"])
+@pytest.mark.parametrize("s", [1, 2])
+def test_reduction_homomorphism_catches_a_bad_truncation(monkeypatch, kind, s):
+    R = ring_make(kind, 3, 1, 3)
+    assert _check(R.selftest(), "reduction-homomorphism").ok
+    sub = R.truncate(s)
+    mul = sub.mul
+    monkeypatch.setattr(sub, "mul", lambda a, b: sub.add(mul(a, b), sub.one))
+    check = _check(R.selftest(), "reduction-homomorphism")
+    assert not check.ok and check.mode == "sampled"
+    assert check.witness.startswith(f"s={s}: (")
 
 
 def test_selftest_walk_checks_scalar_encode_and_is_unit(monkeypatch):
