@@ -10,9 +10,13 @@ and the p-exponent.
 
 The p-exponent walks a Sylow p-subgroup, the preimage u * k of the
 upper unitriangular group (u an entrywise lift, k in the congruence
-kernel), built chunk by chunk as numpy coordinate arrays by one
-generator: exhaustive mode indexes the whole subgroup, sampled mode
-seeded random elements of it.  Orders come from batched p-th powers,
+kernel).  An element is one row of base-q digits, each an index into
+F_q: one per upper entry of u, then the r - 1 Teichmueller digits of
+each free entry of k - I.  One builder, ``_sylow_coords``, turns digit
+rows into numpy coordinate arrays through the self test's batched digit
+map ``ring.digit_coords``: exhaustive mode reads the rows off the flat
+indices of the whole subgroup chunk by chunk, sampled mode draws them
+with a seed.  Orders come from batched p-th powers,
 and the witness's order p^k is re-checked by scalar ``Mat`` powers:
 x^(p^k) = 1 and, for k >= 1, x^(p^(k-1)) != 1.
 
@@ -410,86 +414,85 @@ def _sylow_positions(group: GroupDesc):
     return upper, free
 
 
-def _sylow_tables(R, pim_indices):
-    """Coordinates of the lifts of F_q, in F.elements() order, and of the
-    elements of pi * O_r with these indices in canonical digit order
-    (first digit slowest)."""
-    F, q = R.field, R.q
-    fels = list(F.elements())
-    pim = [R.from_digits([F.zero] + [fels[k // q ** e % q] for e in reversed(range(R.r - 1))])
-           for k in pim_indices]
-    dtype = batchmod.BatchRing.get(R).add_dtype  # _sylow_coords adds them
-    return (np.array([R.lift(a) for a in fels], dtype=dtype),
-            np.array(pim, dtype=dtype))
+def _sylow_coords(group: GroupDesc, digits) -> np.ndarray:
+    """(N, n, n, w) coordinates of u * k, one Sylow element per row of
+    base-q digits, each an index into F_q (``Fq.elements`` order).
 
-
-def _sylow_coords(group: GroupDesc, lifts, pim, digits) -> np.ndarray:
-    """(N, n, n, w) coordinates of u * k, one Sylow element per row of digits.
-
-    A row holds an index into lifts per upper entry of the unitriangular
-    u, then an index into pim per free entry of the congruence-kernel
-    element k = I + (pi-multiples).  For SL the corner of k is solved so
-    that det k = 1: det k = det0 + e * cof is affine in the corner e, and
-    the leading minor cof is = 1 mod pi, so Newton from 1 inverts it.
+    A row holds one digit per upper entry of the unitriangular u (its
+    lift), then r - 1 per free entry of the congruence-kernel element k:
+    the Teichmueller digits of pi^1 ... pi^(r-1), first slowest, read by
+    ``ring.digit_coords`` with digit 0 zero.  The first row's kernel
+    entries also run through the scalar ``from_digits``, and a
+    disagreement raises ``ArithmeticError``.  For SL,
+    ``_solve_sl_corner`` then fills the corner of k.
     """
     R, n = group.ring, group.n
     br = batchmod.BatchRing.get(R)
     upper, free = _sylow_positions(group)
-    u = np.broadcast_to(br.identity(n), (len(digits), n, n, R.w)).astype(lifts.dtype)
+    taus = ringmod._teichmuller_table(R)
+    u = np.broadcast_to(br.identity(n), (len(digits), n, n, R.w)).copy()
     k = u.copy()
-    cols = iter(digits.T)
-    for i, j in upper:
-        u[:, i, j] = lifts[next(cols)]
+    for col, (i, j) in enumerate(upper):
+        u[:, i, j, :R.f] = ringmod._index_coords(digits[:, col], R.p, R.f)
+    idx = np.zeros((len(digits), R.r), dtype=digits.dtype)
+    F, first = R.field, len(upper)
     for i, j in free:
-        k[:, i, j] = br.add(k[:, i, j], pim[next(cols)])
+        idx[:, 1:] = digits[:, first:first + R.r - 1]
+        first += R.r - 1
+        entry = ringmod.digit_coords(R, taus, idx)
+        if R.from_digits([F.from_index(int(e)) for e in idx[0]]) != tuple(entry[0].tolist()):
+            raise ArithmeticError("batch digits disagree with from_digits")
+        k[:, i, j] = br.add(k[:, i, j], entry)
     if group.family == "SL":
-        c = n - 1
-        rows = np.moveaxis(k, 0, 2)  # view: rows[i][j] is entry (i, j) of every k
-        k[:, c, c] = 0
-        det0 = determinant(br, rows)
-        cof = determinant(br, rows[:c, :c])
-        inv = br.one
-        for _ in range((R.r - 1).bit_length()):
-            inv = br.mul(inv, br.add(2 * br.one, br.neg(br.mul(cof, inv))))
-        k[:, c, c] = br.mul(br.add(br.one, br.neg(det0)), inv)
-        if not np.all(determinant(br, rows) == br.one):
-            raise ArithmeticError("corner solve failed")
+        _solve_sl_corner(br, k)
     return br.matmul(u, k)
 
 
+def _solve_sl_corner(br, k):
+    """Set the corner of each k in the (N, n, n, w) stack so that det k = 1:
+    det k = det0 + e * cof is affine in the corner e, and the leading
+    minor cof is = 1 mod pi, so Newton from 1 inverts it."""
+    c = k.shape[1] - 1
+    rows = np.moveaxis(k, 0, 2)  # view: rows[i][j] is entry (i, j) of every k
+    k[:, c, c] = 0
+    det0 = determinant(br, rows)
+    cof = determinant(br, rows[:c, :c])
+    inv = br.one
+    for _ in range((br.ring.r - 1).bit_length()):
+        inv = br.mul(inv, br.add(2 * br.one, br.neg(br.mul(cof, inv))))
+    k[:, c, c] = br.mul(br.add(br.one, br.neg(det0)), inv)
+    if not np.all(determinant(br, rows) == br.one):
+        raise ArithmeticError("corner solve failed")
+
+
+def _sylow_width(group: GroupDesc) -> int:
+    """Digits per Sylow element: one per upper entry, r - 1 per free entry."""
+    upper, free = _sylow_positions(group)
+    return len(upper) + (group.ring.r - 1) * len(free)
+
+
 def _sylow_chunks(group: GroupDesc):
-    """The whole Sylow subgroup in coordinate chunks: u outer, k inner,
-    the first entry slowest."""
+    """The whole Sylow subgroup in coordinate chunks: the flat index of
+    an element is its digit row read in base q, first digit slowest."""
     size = group.sylow_size()
     if size > SYLOW_CAP:
         raise CapExceededError(f"Sylow subgroup of {group.label} has {size} elements, cap {SYLOW_CAP}")
-    R = group.ring
-    upper, free = _sylow_positions(group)
-    # SL_1 has no free kernel entry, so pi * O_r is not indexed at all
-    lifts, pim = _sylow_tables(R, range(R.q ** (R.r - 1) if free else 0))
-    radices = np.array([len(lifts)] * len(upper) + [len(pim)] * len(free), dtype=np.int64)
-    weights = np.cumprod(radices[::-1])[::-1] // radices
+    q, d = group.ring.q, _sylow_width(group)
     for start in range(0, size, _ORDER_CHUNK):
         flat = np.arange(start, min(start + _ORDER_CHUNK, size))
-        yield _sylow_coords(group, lifts, pim, flat[:, None] // weights % radices)
+        digits = np.empty((d, len(flat)), dtype=batchmod._min_uint_dtype(q - 1))
+        for col in reversed(range(d)):
+            flat, digits[col] = np.divmod(flat, q)
+        yield _sylow_coords(group, digits.T)
 
 
 def _sampled_digits(group: GroupDesc, trials: int, seed: int) -> np.ndarray:
-    """Digits of seeded random Sylow elements: per trial one randrange(q)
-    per upper entry, then r - 1 per free kernel entry (one pim index)."""
+    """Digit rows (see ``_sylow_coords``) of seeded random Sylow elements:
+    one randrange(q) per digit, row by row."""
     rng = random.Random(seed)
-    q, r = group.ring.q, group.ring.r
-    upper, free = _sylow_positions(group)
-
-    def pim_index():
-        idx = 0
-        for _ in range(r - 1):
-            idx = idx * q + rng.randrange(q)
-        return idx
-    rows = [[rng.randrange(q) for _ in upper] + [pim_index() for _ in free]
-            for _ in range(trials)]
-    dtype = batchmod.int_dtype(q ** (r - 1) - 1)
-    return np.array(rows, dtype=dtype).reshape(trials, len(upper) + len(free))
+    q, d = group.ring.q, _sylow_width(group)
+    return np.array([[rng.randrange(q) for _ in range(d)] for _ in range(trials)],
+                    dtype=batchmod._min_uint_dtype(q - 1))
 
 
 def sylow_p_elements(group: GroupDesc):
@@ -582,13 +585,7 @@ def p_exponent(group: GroupDesc, strategy: str = "exhaustive", trials: int = 100
     elif strategy == "sampled":
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        # pi * O_r has q^(r-1) elements: build only the drawn ones, and
-        # point the kernel columns at them
-        digits = _sampled_digits(group, trials, seed)
-        kernel = digits[:, len(_sylow_positions(group)[0]):]
-        drawn, inverse = np.unique(kernel, return_inverse=True)
-        kernel[:] = inverse.reshape(kernel.shape)
-        chunks = [_sylow_coords(group, *_sylow_tables(R, drawn.tolist()), digits.astype(np.int64))]
+        chunks = [_sylow_coords(group, _sampled_digits(group, trials, seed))]
         note += f"; lower bound from {trials} samples"
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -54,7 +54,9 @@ samples, or is skipped (cardinality); a sampled check draws at most
 numpy coordinate arrays in chunks of ``_SELFTEST_CHUNK`` elements.
 Products there come from ``structure_tensor``, which the scalar ``mul``
 of the very Fq or Ring under test computes on its basis, and Witt
-digits from one table of the q lifts of ``teichmuller``.  The Fermat
+digits from one table of the q lifts of ``teichmuller``; the batched
+digits -> element map, ``digit_coords``, also builds the Sylow elements
+of ``matrix.p_exponent``.  The Fermat
 identity a^q = a takes one p-th power per element of F_q, kept as an
 index table of a -> a^p, and reads a^q off it by composing the table f
 times, with no further product.  A few elements of each batched check
@@ -83,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import int_dtype, square_and_multiply, tensor_from_mul, tensor_mul
+from .batch import _reduce, int_dtype, square_and_multiply, tensor_from_mul, tensor_mul
 from .errors import NonUnitError, ParseError
 
 POLY = "poly"
@@ -563,12 +565,11 @@ class Ring(_FlatTuples):
 
     def reduce_to(self, a, s: int):
         """Image of a in O_s (coefficientwise truncation)."""
-        target = self.truncate(s)
-        if target is self:
-            return a
+        if not 1 <= s <= self.r:
+            raise ValueError(f"target length {s} outside [1, {self.r}]")
         if self.kind == POLY:
             return a[:s * self.f]
-        m = target.pr
+        m = self.p ** s
         return tuple(c % m for c in a)
 
     def residue(self, a) -> tuple:
@@ -714,9 +715,25 @@ class SelfTestReport:
 
 
 def _teichmuller_table(ring):
-    """(q, w) coordinates of tau(a) for a over F_q in index order."""
+    """(q, w) coordinates of tau(a) for a over F_q in index order, in a
+    dtype that holds tau + p * (M - 1), a step of ``digit_coords``."""
     return np.array([ring.teichmuller(a) for a in ring.field.elements()],
-                    dtype=int_dtype(ring.coord_mod - 1)).reshape(ring.q, ring.w)
+                    dtype=int_dtype((ring.p + 1) * (ring.coord_mod - 1))).reshape(ring.q, ring.w)
+
+
+def digit_coords(ring, taus, idx):
+    """``from_digits`` on (N, r) digit rows, each digit an index into F_q
+    (index order): the (N, w) coordinates of sum tau(d_i) pi^i, with
+    taus from ``_teichmuller_table`` (unused for the poly kind)."""
+    if ring.kind == POLY:
+        # tau is the embedding and pi shifts: the coordinates are a read-off
+        return _index_coords(np.ravel(idx), ring.p, ring.f).reshape(len(idx), ring.w)
+    p, pr = ring.p, ring.pr
+    back = np.zeros((len(idx), ring.w), dtype=taus.dtype)
+    for i in reversed(range(ring.r)):
+        back = taus.take(idx[:, i], axis=0) + p * back
+        _reduce(back, pr)
+    return back
 
 
 def _digit_roundtrip(ring, taus, a):
@@ -741,10 +758,7 @@ def _digit_roundtrip(ring, taus, a):
             x = (x - taus[digits[:, i] @ weights]) % pr
             stuck |= (x % p != 0).any(axis=1)
             x = x // p
-    back = np.zeros_like(a)
-    for i in reversed(range(ring.r)):
-        back = (taus[digits[:, i] @ weights] + p * back) % pr
-    return digits, back, stuck
+    return digits, digit_coords(ring, taus, digits @ weights), stuck
 
 
 def _unit_mask(ring, a):

@@ -350,6 +350,19 @@ def test_sampled_p_exponent_builds_only_the_drawn_kernel_entries(monkeypatch):
     assert 1 <= len(calls) <= 5 * 4
 
 
+def test_exhaustive_p_exponent_builds_no_scalar_table(monkeypatch):
+    # pi * O_r of Z/2^20 has 2^19 elements: the kernel entries come from
+    # batched digits, with one scalar from_digits per chunk, not per element
+    R = ring_make("witt", 2, 1, 20)
+    calls = []
+    from_digits = Ring.from_digits
+    monkeypatch.setattr(Ring, "from_digits",
+                        lambda self, digits: calls.append(1) or from_digits(self, digits))
+    res = p_exponent(GroupDesc("GL", 1, R))
+    assert (res.method, res.value) == ("exhaustive", 2 ** 18)
+    assert 1 <= len(calls) <= -(-(2 ** 19) // matrix._ORDER_CHUNK) == 32
+
+
 def test_p_exponent_checks_its_witness_with_few_products(monkeypatch):
     # x^(p^(k-1)) != 1 and x^(p^k) = 1, not the full exponent multiple
     grp = GroupDesc("GL", 2, ring_make("poly", 3, 2, 45))

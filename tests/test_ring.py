@@ -517,6 +517,27 @@ def test_batch_digits_and_units_agree_with_scalar(kind, p, f, r, data):
         assert R.is_unit(x) == unit
 
 
+def test_digit_coords_agrees_with_from_digits():
+    # every digit row of the small rings
+    for kind, p, f, r in itertools.product(("witt", "poly"), (2, 3), (1, 2), range(1, 5)):
+        R = ring_make(kind, p, f, r)
+        fels = list(R.field.elements())
+        idx = np.array(list(itertools.product(range(R.q), repeat=r)))
+        coords = ringmod.digit_coords(R, ringmod._teichmuller_table(R), idx)
+        for row, c in zip(idx.tolist(), coords.tolist()):
+            assert R.from_digits([fels[d] for d in row]) == tuple(c), (R, row)
+    # tau + p * back passes int64 in both: the lifts hold Python ints
+    rng = random.Random(0)
+    for p, r in [(2, 63), (5, 27)]:
+        R = ring_make("witt", p, 1, r)
+        taus = ringmod._teichmuller_table(R)
+        assert taus.dtype == object
+        idx = np.array([[rng.randrange(p) for _ in range(r)] for _ in range(50)])
+        coords = ringmod.digit_coords(R, taus, idx)
+        for row, c in zip(idx.tolist(), coords.tolist()):
+            assert R.from_digits([R.field.from_index(d) for d in row]) == tuple(c), (R, row)
+
+
 def test_selftest_batch_checks_report_failures():
     R = ring_make("witt", 3, 1, 2)  # Z/9, tau = (0, 1, 8)
     good = ringmod._teichmuller_table(R)
