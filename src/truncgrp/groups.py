@@ -33,6 +33,15 @@ one per generator s.  ``orbit_labels`` finds them by label propagation
 with pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982): each
 element starts as its own label, takes the least label among its images,
 and labels are then followed to their own labels until nothing changes.
+
+Every pass over the table walks it in row blocks of ``_BFS_CHUNK``
+rows: the keys, index and ``sort_perm`` of ``ElementTable``, the
+conjugation permutations and the power maps; the BFS checks each
+batch's products one generator at a time.  So the coordinate, key and
+rank temporaries are sized by the block, not by the group, and a stage
+holds about (4 * generators + O(1)) bytes per element beyond the
+table: for the classes, one int32 permutation per generator and the
+labeller's four int32 arrays.
 """
 
 from __future__ import annotations
@@ -156,15 +165,22 @@ class ElementTable:
         self.ring = group.ring
         self.batch = BatchRing.get(group.ring)
         self.coords = np.ascontiguousarray(coords, dtype=self.batch.coord_dtype)
-        keys = self.batch.encode(self.coords)
+        N = len(self.coords)
         # sized by the largest key, not M^(n n w): SL_1 over F_2[t]/t^40
         # has one element but 2^40 possible keys
-        self.index = KeyIndex(int(keys.max()) + 1)
-        self.index.add(keys)
-        if len(self.index) != len(keys):
+        self.index = KeyIndex(max(int(keys.max()) for _, keys in self._keys()) + 1)
+        for _, keys in self._keys():
+            self.index.add(keys)
+        if len(self.index) != N:
             raise ClosureMismatchError("duplicate elements in table")
-        self.sort_perm = np.empty(len(keys), dtype=np.int64)
-        self.sort_perm[self.index.rank(keys)[0]] = np.arange(len(keys))
+        self.sort_perm = np.empty(N, dtype=np.int64)
+        for start, keys in self._keys():
+            self.sort_perm[self.index.rank(keys)[0]] = np.arange(start, start + len(keys))
+
+    def _keys(self):
+        """(first id, keys) of each row block of the table."""
+        for start in range(0, len(self.coords), _BFS_CHUNK):
+            yield start, self.batch.encode(self.coords[start:start + _BFS_CHUNK])
 
     def __len__(self):
         return len(self.coords)
@@ -214,14 +230,20 @@ def enumerate_group(group: GroupDesc) -> ElementTable:
         frontier = deque([ident[None]])
         while frontier:
             rows = frontier.popleft().reshape(-1, n * n * br.w)
-            coords = np.concatenate([br.apply_map(lin, rows) for lin in maps])
-            coords = coords.reshape(-1, n, n, br.w)
-            keys = br.encode(coords)
-            unseen = np.flatnonzero(~seen.contains(keys))
-            _, first = np.unique(keys[unseen], return_index=True)
-            fresh = unseen[np.sort(first)]
-            if fresh.size:
-                new_coords = coords[fresh].astype(br.coord_dtype)
+            found = []
+            # one generator at a time: what batch*g adds to seen is not
+            # new for batch*g', g' later, so the fresh rows come out in
+            # first-occurrence order of batch*g0, batch*g1, ...
+            for lin in maps:
+                coords = br.apply_map(lin, rows).reshape(-1, n, n, br.w)
+                keys = br.encode(coords)
+                unseen = np.flatnonzero(~seen.contains(keys))
+                _, first = np.unique(keys[unseen], return_index=True)
+                fresh = unseen[np.sort(first)]
+                seen.add(keys[fresh])
+                found.append(coords[fresh].astype(br.coord_dtype))
+            new_coords = np.concatenate(found)
+            if len(new_coords):
                 total += len(new_coords)
                 if total > CLASS_CAP:
                     raise CapExceededError(
@@ -229,7 +251,6 @@ def enumerate_group(group: GroupDesc) -> ElementTable:
                 chunks.append(new_coords)
                 for s in range(0, len(new_coords), _BFS_CHUNK):
                     frontier.append(new_coords[s:s + _BFS_CHUNK])
-                seen.add(keys[fresh])
     all_coords = np.concatenate(chunks)
     if len(all_coords) != expected:
         raise ClosureMismatchError(
@@ -252,7 +273,7 @@ class Partition:
         self.class_of = np.asarray(class_of, dtype=np.int32)
         self.num_classes = int(num_classes)
         self.sizes = np.bincount(self.class_of, minlength=self.num_classes)
-        rises = np.diff(np.maximum.accumulate(self.class_of), prepend=-1) > 0
+        rises = np.diff(np.maximum.accumulate(self.class_of), prepend=np.int32(-1)) > 0
         self.reps = np.flatnonzero(rises)
 
     def elements_of(self, c: int) -> np.ndarray:
@@ -274,9 +295,9 @@ def orbit_labels(perms, size: int) -> np.ndarray:
     """
     lab = np.arange(size, dtype=np.int32)  # ids fit, as in Partition.class_of
     while True:
-        new = lab
+        new = lab.copy()
         for perm in perms:
-            new = np.minimum(new, new[perm])
+            np.minimum(new, new[perm], out=new)
         while True:
             jumped = new[new]
             if np.array_equal(jumped, new):
@@ -287,31 +308,45 @@ def orbit_labels(perms, size: int) -> np.ndarray:
         lab = new
 
 
+def _conjugation_perms(table: ElementTable) -> np.ndarray:
+    """One int32 permutation of the ids per generator s, X -> s*X*s^-1,
+    filled one row block at a time."""
+    br = table.batch
+    n = table.group.n
+    N = len(table)
+    flat = table.coords.reshape(N, n * n * br.w)
+    gens = generators(table.group)
+    perms = np.empty((len(gens), N), dtype=np.int32)  # ids fit, as in orbit_labels
+    for s, perm in zip(gens, perms):
+        lin = br.product_map(n, s, s.inverse())
+        for start in range(0, N, _BFS_CHUNK):
+            conj = br.apply_map(lin, flat[start:start + _BFS_CHUNK])
+            perm[start:start + _BFS_CHUNK] = table.ids_from_keys(
+                br.encode(conj.reshape(-1, n, n, br.w)))
+    return perms
+
+
 def conjugacy_classes(table: ElementTable) -> Partition:
     """Classes = orbits of conjugation by the generators.
 
-    Conjugation by a generator s permutes the ids; ``orbit_labels``
-    gives each element the smallest id in its class, and those roots in
-    ascending order number the classes.
+    ``orbit_labels`` gives each element the smallest id in its class;
+    those roots, the ids that label themselves, number the classes in
+    ascending order.
     """
-    group = table.group
-    br = table.batch
-    n = group.n
     N = len(table)
-    flat = table.coords.reshape(N, n * n * br.w)
-    perms = []
-    for s in generators(group):
-        conj = br.apply_map(br.product_map(n, s, s.inverse()), flat)
-        ids = table.ids_from_keys(br.encode(conj.reshape(N, n, n, br.w)))
-        perms.append(ids.astype(np.int32))
-    roots, class_of = np.unique(orbit_labels(perms, N), return_inverse=True)
-    return Partition(table, class_of, len(roots))
+    lab = orbit_labels(_conjugation_perms(table), N)
+    number = np.cumsum(lab == np.arange(N, dtype=np.int32), dtype=np.int32) - 1
+    return Partition(table, number[lab], number[-1] + 1)
 
 
 def build_power_map(table: ElementTable, e: int) -> np.ndarray:
-    """ids of x^e for every element id x."""
+    """ids of x^e for every element id x, one row block at a time."""
     br = table.batch
-    return table.ids_from_keys(br.encode(br.matpow(table.coords, e)))
+    ids = np.empty(len(table), dtype=table.sort_perm.dtype)
+    for start in range(0, len(table), _BFS_CHUNK):
+        block = table.coords[start:start + _BFS_CHUNK]
+        ids[start:start + len(block)] = table.ids_from_keys(br.encode(br.matpow(block, e)))
+    return ids
 
 
 def class_power_map(part: Partition, e: int) -> np.ndarray:
@@ -439,6 +474,21 @@ def _padded(dims_a, dims_b):
             tuple(dims_b) + (dims_b[-1],) * (m - len(dims_b)))
 
 
+def _invariants(group: GroupDesc, p: int, cache_dir):
+    """(profile, class count, exhaustive Sylow exponent or None) of one
+    group; its table and partition are freed on return."""
+    _, part = partition_for(group, cache_dir=cache_dir)
+    prof = kuelshammer_profile(part, p)
+    if group.sylow_size() > matmod.SYLOW_CAP:
+        return prof, part.num_classes, None
+    res = p_exponent(group, strategy="exhaustive")
+    if res.value != prof.p_exponent:
+        raise ArithmeticError(
+            f"Sylow exponent {res.value} != profile p-exponent "
+            f"{prof.p_exponent} for {group.label}")
+    return prof, part.num_classes, res.value
+
+
 def compare_groups(group_a: GroupDesc, group_b: GroupDesc,
                    cache_dir=None) -> ComparisonReport:
     """Full invariant comparison of two groups sharing p (and usually order).
@@ -451,31 +501,16 @@ def compare_groups(group_a: GroupDesc, group_b: GroupDesc,
     if group_a.ring.p != group_b.ring.p:
         raise ValueError("comparison needs a common residue characteristic")
     p = group_a.ring.p
-    profiles = []
-    sylows = []
-    classes = []
-    for g in (group_a, group_b):
-        table, part = partition_for(g, cache_dir=cache_dir)
-        prof = kuelshammer_profile(part, p)
-        profiles.append(prof)
-        classes.append(part.num_classes)
-        if g.sylow_size() <= matmod.SYLOW_CAP:
-            res = p_exponent(g, strategy="exhaustive")
-            if res.value != prof.p_exponent:
-                raise ArithmeticError(
-                    f"Sylow exponent {res.value} != profile p-exponent "
-                    f"{prof.p_exponent} for {g.label}")
-            sylows.append(res.value)
-        else:
-            sylows.append(None)
-    pa, pb = _padded(profiles[0].dims, profiles[1].dims)
-    distinguished = pa != pb or profiles[0].p_exponent != profiles[1].p_exponent
+    prof_a, classes_a, sylow_a = _invariants(group_a, p, cache_dir)
+    prof_b, classes_b, sylow_b = _invariants(group_b, p, cache_dir)
+    pa, pb = _padded(prof_a.dims, prof_b.dims)
+    distinguished = pa != pb or prof_a.p_exponent != prof_b.p_exponent
     verdict = "DISTINGUISHED" if distinguished else "NOT DISTINGUISHED"
     return ComparisonReport(
         group_a=group_a.label, group_b=group_b.label, p=p,
-        order=group_a.order(), classes_a=classes[0], classes_b=classes[1],
-        profile_a=profiles[0], profile_b=profiles[1],
-        sylow_exponent_a=sylows[0], sylow_exponent_b=sylows[1],
+        order=group_a.order(), classes_a=classes_a, classes_b=classes_b,
+        profile_a=prof_a, profile_b=prof_b,
+        sylow_exponent_a=sylow_a, sylow_exponent_b=sylow_b,
         in_proven_regime=proven_regime(group_a.family, group_a.n, p,
                                         group_a.ring.r),
         verdict=verdict)
@@ -499,13 +534,12 @@ def save_cache(path, part: Partition) -> None:
     table = part.table
     group = table.group
     R = group.ring
-    coords = np.ascontiguousarray(table.coords)
-    body = _HEADER.pack(
+    coords = np.ascontiguousarray(table.coords, dtype=table.coords.dtype.newbyteorder("<"))
+    header = _HEADER.pack(
         CACHE_MAGIC, CACHE_VERSION, ringmod.ENCODING_VERSION,
         group.family.encode(), group.n, R.kind.encode(), R.p, R.f, R.r,
         len(table), R.w, coords.dtype.itemsize, part.num_classes)
-    body += coords.astype(coords.dtype.newbyteorder("<")).tobytes()
-    body += part.class_of.astype("<u4").tobytes()
+    pieces = (header, coords, part.class_of.astype("<u4"))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # write a file of its own beside the cache, then rename it over the
@@ -514,7 +548,14 @@ def save_cache(path, part: Partition) -> None:
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(body + struct.pack("<I", zlib.crc32(body)))
+            # header, coordinates and labels in turn, the checksum of all
+            # three after them
+            crc = 0
+            for piece in pieces:
+                data = memoryview(piece).cast("B")
+                fh.write(data)
+                crc = zlib.crc32(data, crc)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -557,10 +598,12 @@ def load_cache(path, group: GroupDesc):
         log.warning("cache %s: coordinates out of range, ignoring", path)
         return None
     coords = coords.reshape(size, group.n, group.n, w).astype(coord_dtype)
-    class_of = np.frombuffer(payload[coords_len:], dtype="<u4").astype(np.int32)
-    if class_of.size and class_of.max() >= ncls:
+    labels = np.frombuffer(payload[coords_len:], dtype="<u4")
+    # checked before the int32 cast, which would make 2^31 and up negative
+    if ncls > size or labels.max() >= ncls:
         log.warning("cache %s: class labels out of range, ignoring", path)
         return None
+    class_of = labels.astype(np.int32)
     try:
         table = ElementTable(group, coords)
     except ClosureMismatchError:

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -100,6 +101,57 @@ def test_table_rejects_duplicate_elements():
     grp, table, _ = _pipeline("SL", 2, "witt", 2, 1, 2)
     with pytest.raises(ClosureMismatchError, match="duplicate"):
         ElementTable(grp, np.concatenate([table.coords, table.coords[5:6]]))
+
+
+def test_row_blocks_give_the_whole_table_results(monkeypatch):
+    # SL_3 over F_2[t]/t^2, 43,008 elements: the same table read in row
+    # blocks of 1000 (the last one 8 rows) gives the ids, classes and
+    # power maps that blocks of _BFS_CHUNK do
+    grp, table, part = _pipeline("SL", 3, "poly", 2, 1, 2)
+    pmaps = [build_power_map(table, e) for e in (2, 3)]
+    monkeypatch.setattr(groups, "_BFS_CHUNK", 1000)
+    small = ElementTable(grp, table.coords)
+    assert np.array_equal(small.sort_perm, table.sort_perm)
+    small_part = conjugacy_classes(small)
+    assert small_part.num_classes == part.num_classes
+    assert np.array_equal(small_part.class_of, part.class_of)
+    for e, pmap in zip((2, 3), pmaps):
+        assert np.array_equal(build_power_map(small, e), pmap)
+    # a repeat in another block is still a duplicate
+    with pytest.raises(ClosureMismatchError, match="duplicate"):
+        ElementTable(grp, np.concatenate([table.coords[:-1], table.coords[3:4]]))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_classes_and_power_map_peaks_are_row_blocks():
+    # GL_2 over Z/27: 314,928 elements, ten _BFS_CHUNK row blocks.  Passes
+    # over the whole table at once peaked at 65 (table), 81 (classes) and
+    # 49 (power map) bytes per element, and fail these bounds; row blocks
+    # leave the persistent arrays: 8 bytes of sort_perm per element, and
+    # for the classes one int32 permutation per generator and the orbit
+    # labeller's four int32 arrays
+    grp = _group("GL", 2, "witt", 3, 1, 3)
+    coords = enumerate_group(grp).coords
+    N = len(coords)
+    assert N == 314_928
+    table, table_peak = _traced_peak(ElementTable, grp, coords)
+    assert table_peak < 24 * N
+    part, classes_peak = _traced_peak(conjugacy_classes, table)
+    assert part.num_classes == 720
+    assert classes_peak < (4 * len(generators(grp)) + 28) * N
+    pmap, power_peak = _traced_peak(build_power_map, table, 3)
+    assert power_peak < 24 * N
+    for i in (1, 32767, 32768, N - 1):  # either side of a block boundary
+        assert table.mat(int(pmap[i])) == table.mat(i) ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +555,24 @@ def test_cache_rejects_wrong_coordinate_width(tmp_path, caplog, width):
     assert "parameter mismatch" in caplog.text
 
 
+@pytest.mark.parametrize("label, ncls", [(0xFFFFFFFF, None), (0, 0xFFFFFFFF)],
+                         ids=["label-past-int32", "more-classes-than-elements"])
+def test_cache_rejects_labels_out_of_range(tmp_path, caplog, label, ncls):
+    grp, _, part = _pipeline("SL", 2, "witt", 2, 1, 2)
+    path = tmp_path / "x.kkg"
+    save_cache(path, part)
+    body = bytearray(path.read_bytes()[:-4])
+    header = list(groups._HEADER.unpack_from(body))
+    if ncls is not None:
+        header[12] = ncls
+    body[:groups._HEADER.size] = groups._HEADER.pack(*header)
+    body[-4:] = struct.pack("<I", label)  # the last element's class
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    with caplog.at_level(logging.WARNING, logger="truncgrp.groups"):
+        assert load_cache(path, grp) is None
+    assert "class labels out of range" in caplog.text
+
+
 def test_cache_rejects_labels_out_of_first_occurrence_order(tmp_path, caplog):
     grp, _, part = _pipeline("SL", 2, "witt", 2, 1, 2)
     path = tmp_path / "x.kkg"
@@ -556,6 +626,8 @@ _CACHE_DIGESTS = [
     # 43,008 elements: the BFS order across more than one _BFS_CHUNK
     ("SL", 3, "poly", 2, 1, 2, "225a6a0b0ca0b159947b5289664082d1e2b099b56c5ef8e36ff6f9e80096679d"),
     ("SL", 3, "witt", 2, 1, 2, "c868e493f2f6803ed158795a6793151de08029ee073175d634688a50c1f8f923"),
+    # 314,928 elements: ten _BFS_CHUNKs in the BFS, the table and the classes
+    ("GL", 2, "witt", 3, 1, 3, "16e5e3c9ba64ab86be4488d47179013355b9b2e3f72680b33dae15f8024ba35f"),
 ]
 
 
@@ -564,7 +636,8 @@ _CACHE_DIGESTS = [
 def test_cache_bytes_pinned(tmp_path, fam, n, kind, p, f, r, sha256):
     # digests of files written by earlier code: a plain write_bytes before
     # the rename (first two), the dense-block batch arithmetic (next two),
-    # the sorted-key BFS (last two)
+    # the sorted-key BFS (next two), whole-table passes and one write of
+    # the whole file (last)
     _, _, part = _pipeline(fam, n, kind, p, f, r)
     path = tmp_path / "x.kkg"
     save_cache(path, part)
