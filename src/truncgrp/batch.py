@@ -9,15 +9,18 @@ conjugacy classes multiply only by fixed generators and use this form.
 
 Where both factors vary (powers, the Sylow walk, the oracle table),
 ``matmul`` takes and returns (..., n, n, w) coordinates too.  Only its
-left factor becomes a t-stack, (..., L, m, m) with m = n*c: for the poly
-kind F_q[t]/t^r, L = r, c = f and slice k is the t^k coefficient matrix
-with each F_q entry expanded to its c x c multiplication matrix over
-F_p; for the witt kind, L = 1, c = f and entries of Z/p^r[x]/(mhat)
-expand over Z/p^r.  Column 0 of each c x c block, the image of 1, is
-the entry's coordinates, so the right factor stays coordinate columns
-and the product is the truncated convolution C_k = sum_{i+j=k} A_i @ B_j
-mod M: r(r+1)/2 small ``np.matmul`` calls for poly, one for witt, in the
-narrowest signed dtype that holds L*m*(M-1)^2.
+left factor becomes a t-stack, (..., L, m, m) with m = n*c.  Both ring
+kinds are GR(p^s, f)[u]/(u^e - p), an element e slices of f coordinates
+mod p^s (see ``ring``): L = e, c = f and slice k is the u^k coefficient
+matrix with each GR(p^s, f) entry expanded to its c x c multiplication
+matrix over Z/p^s.  For the poly kind F_q[t]/t^r, (e, s) = (r, 1) and
+the entries of slice k are the t^k coefficients over F_q; for the witt
+kind, (e, s) = (1, r), so L = 1.  Column 0 of each c x c block, the
+image of 1, is the entry's coordinates, so the right factor stays
+coordinate columns and the product is the truncated convolution C_k =
+sum_{i+j=k} A_i @ B_j mod M (u^e = p is 0 whenever e > 1, as s = 1
+then): e(e+1)/2 small ``np.matmul`` calls, r(r+1)/2 for poly and one
+for witt, in the narrowest signed dtype that holds L*m*(M-1)^2.
 
 One rule picks every dtype: the narrowest integer type (int64 at least
 for arrays built from Python ints, ``int_dtype``) that holds the largest
@@ -26,7 +29,7 @@ the one arithmetic limit is ``encode``'s: a key must fit in int64.
 
 This module only moves arrays around; all structure constants are
 produced by the scalar layer in ``ring``, and ``BatchRing`` checks that
-the ring's structure tensor is the truncated convolution of its t^0
+the ring's structure tensor is the truncated convolution of its u^0
 slice, so the two layers cannot drift apart silently.
 """
 
@@ -126,15 +129,15 @@ class BatchRing:
         self.w = ring.w
         self.M = ring.coord_mod
         self.coord_dtype = _min_uint_dtype(self.M - 1)
-        # t-stack slices: L coefficients of c coordinates each
+        # t-stack slices: the L = e coefficients of u, c = f coordinates each
         self.c = ring.f
-        self.L = self.w // self.c
+        self.L = ring.e
         # structure tensor of ring.mul: e_i * e_j = sum_k T[i, j, k] e_k
         self.T = ring.structure_tensor()
         self.T0 = self.T[:self.c, :self.c, :self.c]
         if not np.array_equal(self.T, _convolution_tensor(self.T0, self.L)):
             raise ArithmeticError(f"{ring!r}: multiplication is not a truncated "
-                                  "convolution of its t^0 coefficients")
+                                  "convolution of its u^0 coefficients")
         # ring operations on (..., w) coordinate vectors, named as on ring.Ring;
         # the dtype of their operands holds the sum of two residues and M
         self.add_dtype = int_dtype(2 * (self.M - 1))

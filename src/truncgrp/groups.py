@@ -60,7 +60,7 @@ import numpy as np
 from . import matrix as matmod
 from . import ring as ringmod
 from .batch import BatchRing
-from .errors import CapExceededError, ClosureMismatchError, MembershipError
+from .errors import CapExceededError, ClosureMismatchError
 from .matrix import (GroupDesc, Mat, diagonal, exponent_multiple, mat_coords,
                      mat_from_coords, p_exponent, transvection)
 
@@ -194,14 +194,6 @@ class ElementTable:
             raise ClosureMismatchError("product left the enumerated set")
         return self.sort_perm[pos]
 
-    def id_of(self, mat: Mat) -> int:
-        if mat.ring != self.ring or mat.n != self.group.n:
-            raise MembershipError("matrix shape or base ring mismatch")
-        pos, present = self.index.rank(self.batch.encode(mat_coords(mat)[None]))
-        if not present[0]:
-            raise MembershipError(f"matrix is not in {self.group.label}")
-        return int(self.sort_perm[pos[0]])
-
 
 def enumerate_group(group: GroupDesc) -> ElementTable:
     """Close the generator set under right multiplication (BFS).
@@ -275,9 +267,6 @@ class Partition:
         self.sizes = np.bincount(self.class_of, minlength=self.num_classes)
         rises = np.diff(np.maximum.accumulate(self.class_of), prepend=np.int32(-1)) > 0
         self.reps = np.flatnonzero(rises)
-
-    def elements_of(self, c: int) -> np.ndarray:
-        return np.nonzero(self.class_of == c)[0]
 
 
 def orbit_labels(perms, size: int) -> np.ndarray:
@@ -566,7 +555,7 @@ def load_cache(path, group: GroupDesc):
     """(table, partition) from a cache file, or None if unusable."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        raw = memoryview(path.read_bytes())  # slices of it copy nothing
     except OSError:
         return None
     if len(raw) < _HEADER.size + 4:

@@ -1,22 +1,28 @@
 """Exact arithmetic for truncated local rings with residue field F_q.
 
-Two ring kinds of length r over F_q (q = p^f) are supported, and an
-element of either is the flat tuple of its w integer coordinates, each
-in [0, coord_mod):
+Two ring kinds of length r over F_q (q = p^f) are supported.  Both are
+the ring GR(p^s, f)[u]/(u^e - p) with r = e s, where GR(p^s, f) =
+(Z/p^s)[x]/(mhat) is the Galois ring and mhat the field modulus read
+mod p^s:
 
-* ``poly``: F_q[t]/t^r, w = r f and coord_mod = p.  The coefficient of
-  t^k, a field element, sits at positions k f, ..., (k+1) f - 1, so for
-  r = 1 an element is an Fq element.  The uniformizer is t and the
-  characteristic is p.
-* ``witt``: the unramified length-r lift of F_q, realized as the Galois
-  ring (Z/p^r)[x]/(mhat), w = f and coord_mod = p^r.  The coordinates
-  are the coefficients of 1, x, ..., x^(f-1).  The uniformizer is p and
-  the characteristic is p^r.  mhat is the monic lift of the field
-  modulus with the same integer coefficients; any monic lift of an
-  irreducible polynomial yields this ring up to isomorphism.  The
-  self-test suite checks the properties that pin the construction down
-  (unit count, Teichmueller fixed points), so a failed lift cannot pass
-  silently.
+* ``witt``: (e, s) = (1, r), the unramified length-r lift of F_q.  Then
+  u = p, the ring is GR(p^r, f) and its characteristic is p^r.
+* ``poly``: (e, s) = (r, 1), F_q[t]/t^r.  Then u = t, u^r = p = 0 and
+  the characteristic is p.
+
+An element is the flat tuple of its w = e f integer coordinates, each in
+[0, coord_mod), coord_mod = p^s: e slices of f coordinates, slice k the
+coefficient of u^k and coordinate j of a slice the coefficient of x^j.
+So for r = 1 an element of either kind is an Fq element.  u is the
+uniformizer pi.  mhat is the monic lift of the field modulus with the
+same integer coefficients; any monic lift of an irreducible polynomial
+yields the ring up to isomorphism.  The self-test suite checks the
+properties that pin the construction down (unit count, Teichmueller
+fixed points), so a failed lift cannot pass silently.
+
+Ring arithmetic reads only (e, s, f, p).  The kind is a name: the label,
+equality, ``truncate``'s target, the parser's ``t`` and the
+``zmod-agreement`` self-test check read it.
 
 Field elements are tuples of f integers in [0, p).  The field modulus
 is chosen deterministically: scanning the non-leading coefficients as
@@ -25,8 +31,8 @@ derived encodings are therefore reproducible across runs and platforms.
 
 Multiplication: one kernel, ``_mulmod``, multiplies two integer
 coefficient tuples modulo a monic polynomial and an integer.  ``Fq.mul``
-uses it with (m, p), the witt ``Ring.mul`` with (mhat, p^r), the poly
-``Ring.mul`` with m at x = y^(2r-1) on a packed form (see ``Ring.mul``),
+uses it with (m, p), ``Ring.mul`` with (mhat, p^s), for e > 1 at
+x = y^(2e-1) on a packed form (see ``Ring.mul``),
 and the irreducibility test behind the modulus scan for its powers of x
 (``batch.square_and_multiply``) and its gcd remainders.  Only rings and
 fields with one coordinate skip it.
@@ -53,10 +59,11 @@ samples, or is skipped (cardinality); a sampled check draws at most
 ``_SAMPLES`` seeded random elements.  The exhaustive checks run on
 numpy coordinate arrays in chunks of ``_SELFTEST_CHUNK`` elements.
 Products there come from ``structure_tensor``, which the scalar ``mul``
-of the very Fq or Ring under test computes on its basis, and Witt
-digits from one table of the q lifts of ``teichmuller``; the batched
-digits -> element map, ``digit_coords``, also builds the Sylow elements
-of ``matrix.p_exponent``.  The Fermat
+of the very Fq or Ring under test computes on its basis, and
+Teichmueller digits from one table of the q lifts of ``teichmuller``,
+divided and multiplied by u slice-wise as ``_div_u`` and ``_times_u``
+do; the batched digits -> element map, ``digit_coords``, also builds
+the Sylow elements of ``matrix.p_exponent``.  The Fermat
 identity a^q = a takes one p-th power per element of F_q, kept as an
 index table of a -> a^p, and reads a^q off it by composing the table f
 times, with no further product.  A few elements of each batched check
@@ -67,8 +74,9 @@ tensors hold Python ints where int64 cannot hold their sums
 sampled checks stay scalar and tie the tensors to ``Fq.mul`` and
 ``Ring.mul``.
 
-Text forms: poly elements render like ``1+2t+t^2``, witt elements as
-plain integers (f = 1) or x-polynomials.  ``parse_element`` accepts
+Text forms: an element renders slice by slice, slice k times t^k, like
+``1+2t+t^2``; a witt element has one slice, so it renders as a plain
+integer (f = 1) or an x-polynomial.  ``parse_element`` accepts
 sums, differences, products, powers, parentheses, integers, ``t``
 (poly kind) and ``x`` (extension coordinate, f > 1).
 """
@@ -459,30 +467,28 @@ class Ring(_FlatTuples):
         self.f = f
         self.r = r
         self.q = self.field.q
-        if kind == WITT:
-            self.pr = p ** r
-            super().__init__(f, self.pr, self.q ** r)
-            self.mhat = tuple(c % self.pr for c in self.field.modulus)
-            self.characteristic = self.pr
-            self.pi = (p % self.pr,) + (0,) * (f - 1)
-        else:
-            super().__init__(r * f, p, self.q ** r)
-            self.characteristic = p
-            self.pi = tuple(int(i == f) for i in range(self.w))  # t; 0 if r = 1
-            # see mul: the field modulus m(x) at x = y^(2r-1), and the
-            # packed position k + j (2r-1) of each coordinate k f + j
-            step = 2 * r - 1
+        # GR(p^s, f)[u]/(u^e - p), r = e s: the two ends of that family
+        self.e, self.s = (1, r) if kind == WITT else (r, 1)
+        e = self.e
+        self.characteristic = p ** self.s
+        super().__init__(e * f, self.characteristic, self.q ** r)
+        self.mhat = tuple(c % self.characteristic for c in self.field.modulus)
+        if e > 1:
+            # see mul: mhat(x) at x = y^(2e-1), and the packed position
+            # k + j (2e-1) of each coordinate k f + j
+            step = 2 * e - 1
             mpack = [0] * (f * step + 1)
-            mpack[::step] = self.field.modulus
+            mpack[::step] = self.mhat
             self._mpack = tuple(mpack)
-            packed = [k + j * step for k in range(r) for j in range(f)]
-            gather = [self.w] * ((f - 1) * step + r)  # self.w: a padding 0
+            packed = [k + j * step for k in range(e) for j in range(f)]
+            gather = [self.w] * ((f - 1) * step + e)  # self.w: a padding 0
             for i, pos in enumerate(packed):
                 gather[pos] = i
             self._pack = operator.itemgetter(*gather)
             self._unpack = operator.itemgetter(*packed)
         self.coeff_width = max(1, ((self.coord_mod - 1).bit_length() + 7) // 8)
         self._teich = {}
+        self.pi = self._times_u(self.one)  # p for witt, t for poly; 0 if r = 1
 
     # -- identity / description ------------------------------------------
 
@@ -494,7 +500,7 @@ class Ring(_FlatTuples):
         if self.kind == POLY:
             return f"F_{self.q}[t]/t^{self.r}"
         if self.f == 1:
-            return f"Z/{self.pr}"
+            return f"Z/{self.characteristic}"
         return f"GR({self.p}^{self.r}, {self.f})"
 
     def __eq__(self, other):
@@ -510,15 +516,30 @@ class Ring(_FlatTuples):
     def mul(self, a, b):
         if self.w == 1:
             return (a[0] * b[0] % self.coord_mod,)
-        if self.kind == WITT:
-            return _mulmod(a, b, self.mhat, self.pr)
-        # F_q[t]/t^r = (F_p[t]/t^r)[x]/(m).  Packed as polynomials in y
-        # with t = y and x = y^(2r-1), the t-degrees of a product (at most
-        # 2r-2) never reach the next power of x, so reducing by _mpack =
-        # m(y^(2r-1)) reduces mod m in every t-degree; truncation mod t^r
-        # is then a read-off
+        if self.e == 1:  # the one slice: GR(p^s, f) itself
+            return _mulmod(a, b, self.mhat, self.coord_mod)
+        # Packed as polynomials in y with u = y and x = y^(2e-1), the
+        # u-degrees of a product (at most 2e-2) never reach the next power
+        # of x, so reducing by _mpack = mhat(y^(2e-1)) mod p^s reduces mod
+        # mhat in every u-degree.  The u-degrees >= e are then dropped:
+        # e > 1 only when s = 1, where u^e = p = 0 (BatchRing checks that
+        # the product is this truncated convolution).
         pack = self._pack
-        return self._unpack(_mulmod(pack(a + (0,)), pack(b + (0,)), self._mpack, self.p))
+        return self._unpack(_mulmod(pack(a + (0,)), pack(b + (0,)), self._mpack, self.coord_mod))
+
+    def _times_u(self, a):
+        """u a: the slices move up one and the top one wraps to slice 0
+        times u^e = p."""
+        p, M, f = self.p, self.coord_mod, self.f
+        return tuple(p * c % M for c in a[-f:]) + a[:-f]
+
+    def _div_u(self, a):
+        """The preimage of a under ``_times_u`` whose top slice is below
+        p; a's slice 0 must be divisible by p."""
+        p, f = self.p, self.f
+        if any(c % p for c in a[:f]):
+            raise ArithmeticError("not divisible by the uniformizer")
+        return a[f:] + tuple(c // p for c in a[:f])
 
     def int_mul(self, a, k: int):
         """k-fold sum of a (k may be any integer)."""
@@ -535,17 +556,20 @@ class Ring(_FlatTuples):
     # -- valuation / units --------------------------------------------------
 
     def valuation(self, a) -> int:
-        """pi-adic valuation, with valuation(0) = r by convention."""
-        if self.kind == POLY:
-            return next((i // self.f for i, c in enumerate(a) if c), self.r)
+        """pi-adic valuation, with valuation(0) = r by convention: the
+        least e v_p(c) + k over the nonzero coordinates c of slice k."""
+        e, f, p = self.e, self.f, self.p
         v = self.r
-        for c in a:
+        for i, c in enumerate(a):
+            k = i // f
+            if k >= v:
+                break
             if c:
                 vc = 0
-                while c % self.p == 0:
-                    c //= self.p
+                while c % p == 0:
+                    c //= p
                     vc += 1
-                v = min(v, vc)
+                v = min(v, e * vc + k)
         return v
 
     def is_unit(self, a) -> bool:
@@ -574,13 +598,12 @@ class Ring(_FlatTuples):
         return ring_make(self.kind, self.p, self.f, s)
 
     def reduce_to(self, a, s: int):
-        """Image of a in O_s (coefficientwise truncation)."""
+        """Image of a in O_s: its first min(e, s) slices mod p^ceil(s/e).
+        When that modulus is p^s (always for e > 1), they are reduced."""
         if not 1 <= s <= self.r:
             raise ValueError(f"target length {s} outside [1, {self.r}]")
-        if self.kind == POLY:
-            return a[:s * self.f]
-        m = self.p ** s
-        return tuple(c % m for c in a)
+        a, m = a[:min(self.e, s) * self.f], self.p ** -(-s // self.e)
+        return a if m == self.coord_mod else tuple(c % m for c in a)
 
     def residue(self, a) -> tuple:
         """Image in the residue field F_q, as an Fq element."""
@@ -588,59 +611,43 @@ class Ring(_FlatTuples):
         return tuple(c % p for c in a[:self.f])
 
     def lift(self, a):
-        """The element whose first f coordinates are the field element a's
-        integer coefficients: the constant a (poly kind), or a's
-        coefficients read mod p^r (witt)."""
+        """The element whose slice 0 holds the field element a's integer
+        coefficients, read mod p^s, and whose other slices are zero."""
         return tuple(a) + (0,) * (self.w - self.f)
 
     # -- Teichmueller section and digits -------------------------------------
 
     def teichmuller(self, a):
-        """The multiplicative section of F_q -> O_r.
-
-        Witt kind: tau(a) = (any lift)^(q^(r-1)), the unique root of
-        X^q = X over a.  Poly kind: the constant-coefficient embedding.
-        """
-        if self.kind == POLY or self.r == 1:
-            return self.lift(a)  # r = 1: the q^0-th power of the lift
+        """The multiplicative section of F_q -> O_r: tau(a) = (any
+        lift)^(q^(r-1)), the unique root of X^q = X over a; memoized for
+        r > 1.  For r = 1 it is the lift itself, and a memo of it would
+        hold q entries for every field a self-test grid walks."""
+        if self.r == 1:
+            return self.lift(a)
         t = self._teich.get(a)
         if t is None:
             t = self.pow(self.lift(a), self.q ** (self.r - 1))
             self._teich[a] = t
         return t
 
-    def _shift_down(self, a):
-        # witt kind: preimage under multiplication by p, canonical (top
-        # digit zero)
-        if any(c % self.p for c in a):
-            raise ArithmeticError("not divisible by the uniformizer")
-        return tuple(c // self.p for c in a)
-
     def witt_digits(self, a) -> tuple:
         """The r Teichmueller digits of a: a = sum tau(d_i) pi^i."""
-        if self.kind == POLY:
-            f = self.f  # tau is the embedding and pi shifts: read-off
-            return tuple(a[k * f:(k + 1) * f] for k in range(self.r))
-        if self.r == 1:
-            return (tuple(a),)
         digits = []
         x = a
         for i in range(self.r):
             d = self.residue(x)
             digits.append(d)
             if i < self.r - 1:
-                x = self._shift_down(self.sub(x, self.teichmuller(d)))
+                x = self._div_u(self.sub(x, self.teichmuller(d)))
         return tuple(digits)
 
     def from_digits(self, digits) -> tuple:
         digits = tuple(digits)
         if len(digits) != self.r:
             raise ValueError(f"need {self.r} digits")
-        if self.kind == POLY:
-            return tuple(c for d in digits for c in d)  # see witt_digits
         acc = self.zero
         for d in reversed(digits):
-            acc = self.add(self.teichmuller(d), self.mul(self.pi, acc))
+            acc = self.add(self.teichmuller(d), self._times_u(acc))
         return acc
 
     # -- coordinates / enumeration / encoding --------------------------------
@@ -659,32 +666,26 @@ class Ring(_FlatTuples):
         wdt = self.coeff_width
         return b"".join(c.to_bytes(wdt, "little") for c in a)
 
-    def decode(self, data: bytes):
-        wdt = self.coeff_width
-        if len(data) != wdt * self.w:
-            raise ValueError(f"expected {wdt * self.w} bytes, got {len(data)}")
-        coords = [int.from_bytes(data[i * wdt:(i + 1) * wdt], "little") for i in range(self.w)]
-        return self.from_coords(coords)
-
     # -- text form ------------------------------------------------------------
 
     def render(self, a) -> str:
-        if self.kind == WITT:
-            return self.field.render(a)  # the same x-polynomial form
+        """Slice k times t^k; slice 0 alone is ``Fq.render``'s form."""
+        f, fld = self.f, self.field
         terms = []
-        for j, c in enumerate(self.witt_digits(a)):
-            if c == self.field.zero:
+        for k in range(self.e):
+            c = a[k * f:(k + 1) * f]
+            if c == fld.zero:
                 continue
-            if j == 0:
-                terms.append(self.field.render(c))
+            if k == 0:
+                terms.append(fld.render(c))
                 continue
-            var = "t" if j == 1 else f"t^{j}"
-            if c == self.field.one:
+            var = "t" if k == 1 else f"t^{k}"
+            if c == fld.one:
                 terms.append(var)
-            elif self.f == 1:
+            elif f == 1:
                 terms.append(f"{c[0]}{var}")
             else:
-                terms.append(f"({self.field.render(c)}){var}")
+                terms.append(f"({fld.render(c)}){var}")
         return "+".join(terms) if terms else "0"
 
     def selftest(self, seed: int = 0):
@@ -727,47 +728,43 @@ class SelfTestReport:
 def _teichmuller_table(ring):
     """(q, w) coordinates of tau(a) for a over F_q in index order, in a
     dtype that holds tau + p * (M - 1), a step of ``digit_coords``."""
-    return np.array([ring.teichmuller(a) for a in ring.field.elements()],
-                    dtype=int_dtype((ring.p + 1) * (ring.coord_mod - 1))).reshape(ring.q, ring.w)
+    dtype = int_dtype((ring.p + 1) * (ring.coord_mod - 1))
+    if ring.r == 1:  # tau is the lift, as in teichmuller: F_q's coordinates
+        return _index_coords(range(ring.q), ring.p, ring.f).astype(dtype)
+    return np.array([ring.teichmuller(a) for a in ring.field.elements()], dtype=dtype).reshape(ring.q, ring.w)
 
 
 def digit_coords(ring, taus, idx):
     """``from_digits`` on (N, r) digit rows, each digit an index into F_q
     (index order): the (N, w) coordinates of sum tau(d_i) pi^i, with
-    taus from ``_teichmuller_table`` (unused for the poly kind)."""
-    if ring.kind == POLY:
-        # tau is the embedding and pi shifts: the coordinates are a read-off
-        return _index_coords(np.ravel(idx), ring.p, ring.f).reshape(len(idx), ring.w)
-    p, pr = ring.p, ring.pr
+    taus from ``_teichmuller_table``."""
+    p, f = ring.p, ring.f
     back = np.zeros((len(idx), ring.w), dtype=taus.dtype)
     for i in reversed(range(ring.r)):
-        back = taus.take(idx[:, i], axis=0) + p * back
-        _reduce(back, pr)
+        # tau(d_i) + u back, u back unreduced as in Ring._times_u
+        back = taus.take(idx[:, i], axis=0) + np.concatenate((p * back[:, -f:], back[:, :-f]), axis=1)
+        _reduce(back, ring.coord_mod)
     return back
 
 
 def _digit_roundtrip(ring, taus, a):
     """``witt_digits`` and then ``from_digits`` on (N, w) coordinates,
-    with taus from ``_teichmuller_table`` (unused for the poly kind).
+    with taus from ``_teichmuller_table``.
 
     Returns the (N, r, f) digits, the (N, w) coordinates rebuilt from
-    them, and a mask of the rows whose expansion cannot shift down by pi
+    them, and a mask of the rows whose expansion cannot divide by pi
     (a lift tau(d) with the wrong residue)."""
-    n = len(a)
-    if ring.kind == POLY:
-        # tau is the embedding and pi shifts: the digits are a read-off
-        return a.reshape(n, ring.r, ring.f), a, np.zeros(n, dtype=bool)
-    p, pr = ring.p, ring.pr
-    weights = p ** np.arange(ring.f, dtype=np.int64)
-    digits = np.empty((n, ring.r, ring.f), dtype=np.int64)
+    n, p, f = len(a), ring.p, ring.f
+    weights = p ** np.arange(f, dtype=np.int64)
+    digits = np.empty((n, ring.r, f), dtype=np.int64)
     stuck = np.zeros(n, dtype=bool)
     x = a
     for i in range(ring.r):
-        digits[:, i] = x % p
+        digits[:, i] = x[:, :f] % p
         if i < ring.r - 1:
-            x = (x - taus[digits[:, i] @ weights]) % pr
-            stuck |= (x % p != 0).any(axis=1)
-            x = x // p
+            x = (x - taus[digits[:, i] @ weights]) % ring.coord_mod
+            stuck |= (x[:, :f] % p != 0).any(axis=1)
+            x = np.concatenate((x[:, f:], x[:, :f] // p), axis=1)  # as Ring._div_u
     return digits, digit_coords(ring, taus, digits @ weights), stuck
 
 
@@ -872,10 +869,10 @@ def _run_selftest(ring: Ring, seed: int) -> SelfTestReport:
     def rnd():
         return ring.rand(rng)
 
-    # the Teichmueller lifts of F_q in index order, for the batched witt
+    # the Teichmueller lifts of F_q in index order, for the batched
     # digit round trip and the exhaustive multiplicativity check
     pairs_exhaustive = ring.q * ring.q <= _EXHAUSTIVE_CAP
-    need_taus = (small and ring.kind == WITT) or pairs_exhaustive
+    need_taus = small or pairs_exhaustive
     taus = _teichmuller_table(ring) if need_taus else None
 
     # one exhaustive walk when the ring is small enough: distinctness of
@@ -987,8 +984,7 @@ def _run_selftest(ring: Ring, seed: int) -> SelfTestReport:
         ok, wit = True, None
         for _ in range(_SAMPLES):
             a, b = rnd(), rnd()
-            if (ring.mul(a, b)[0] != a[0] * b[0] % ring.pr
-                    or ring.add(a, b)[0] != (a[0] + b[0]) % ring.pr):
+            if ring.mul(a, b)[0] != a[0] * b[0] % ch or ring.add(a, b)[0] != (a[0] + b[0]) % ch:
                 ok, wit = False, f"({a[0]}, {b[0]})"
                 break
         note("zmod-agreement", ok, "sampled", wit)

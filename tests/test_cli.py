@@ -211,7 +211,7 @@ def test_classes_of_the_trivial_group_need_no_products(capsys):
     assert data["results"]["num_classes"] == 1
 
 
-def test_kuelshammer_of_the_trivial_group_needs_no_stacks(capsys):
+def test_kuelshammer_of_sl1_over_z_2_40_stacks_python_ints(capsys):
     # x^2 of the identity goes through a t-stack of Python ints: sums of
     # products of residues mod 2^40 do not fit int64
     rc = main(["--format", "json", "kuelshammer", "--family", "SL", "-n", "1",

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncgrp import (CapExceededError, ClosureMismatchError, GroupDesc, Mat,
-                      MembershipError, build_power_map, class_power_map,
+                      build_power_map, class_power_map,
                       compare_groups, conjugacy_classes, element_order,
                       enumerate_group, generators, kuelshammer_profile,
                       load_cache, partition_for, ring_make,
@@ -76,13 +76,18 @@ def _outsider(R):
     return Mat(R, [[R.one, R.zero], [R.zero, R.add(R.one, R.pi)]])
 
 
+def _ids_of(table, mats):
+    """Element ids of scalar matrices, through their batch keys."""
+    return table.ids_from_keys(table.batch.encode(np.stack([mat_coords(m) for m in mats])))
+
+
 def test_table_lookup_roundtrip():
     for kind in ("witt", "poly"):
         grp, table, _ = _pipeline("SL", 2, kind, 2, 1, 2)
-        for i in range(len(table)):
-            assert table.id_of(table.mat(i)) == i
-        with pytest.raises(MembershipError):
-            table.id_of(_outsider(grp.ring))
+        ids = range(len(table))
+        assert _ids_of(table, [table.mat(i) for i in ids]).tolist() == list(ids)
+        with pytest.raises(ClosureMismatchError):
+            _ids_of(table, [_outsider(grp.ring)])
 
 
 def test_table_rejects_keys_outside_it():
@@ -249,7 +254,7 @@ def test_classes_match_all_element_conjugation():
                                   ("GL", 2, "witt", 3, 1, 1),
                                   ("GL", 1, "witt", 3, 1, 2)]:
         grp, table, part = _pipeline(fam, n, kind, p, f, r)
-        got = {frozenset(part.elements_of(c).tolist())
+        got = {frozenset(np.flatnonzero(part.class_of == c).tolist())
                for c in range(part.num_classes)}
         assert got == _brute_partition(table), grp.label
 
@@ -330,9 +335,8 @@ def test_power_map_matches_scalar_powers():
         for i in (0, 1, 13, 29, 47):
             assert table.mat(i) ** e == table.mat(int(pmap[i]))
     cmap = class_power_map(part, 2)
-    for i in range(len(table)):
-        sq = table.id_of(table.mat(i) * table.mat(i))
-        assert cmap[part.class_of[i]] == part.class_of[sq]
+    sq = _ids_of(table, [table.mat(i) * table.mat(i) for i in range(len(table))])
+    assert np.array_equal(cmap[part.class_of], part.class_of[sq])
 
 
 def test_class_power_map_rejects_a_map_that_splits_a_class(monkeypatch):
@@ -341,7 +345,7 @@ def test_class_power_map_rejects_a_map_that_splits_a_class(monkeypatch):
     split = np.arange(len(table))
     monkeypatch.setattr(groups, "build_power_map", lambda table, e: split)
     assert np.array_equal(class_power_map(part, 1), np.arange(part.num_classes))
-    split[part.elements_of(c)[-1]] = 0  # one member of c, not its rep, to class 0
+    split[np.flatnonzero(part.class_of == c)[-1]] = 0  # one member of c, not its rep, to class 0
     with pytest.raises(ArithmeticError, match="not constant on a conjugacy class"):
         class_power_map(part, 1)
 
@@ -474,6 +478,23 @@ def test_cache_roundtrip(tmp_path):
     assert np.array_equal(t2.coords, table.coords)
     assert np.array_equal(p2.class_of, part.class_of)
     assert p2.num_classes == part.num_classes
+
+
+def test_load_cache_peak_holds_one_copy_of_the_file(tmp_path):
+    # GL_2 over F_3[t]/t^3: 314,928 elements, 16 file bytes each (12 of
+    # coordinates, 4 of label).  Copying the file's slices peaked at 88
+    # bytes per element and fails this bound; one copy of the file, the
+    # coordinates and int32 labels it keeps and the table's row-block
+    # passes (under 24 bytes per element) stay below it
+    grp = _group("GL", 2, "poly", 3, 1, 3)
+    table = enumerate_group(grp)
+    N = len(table)
+    path = tmp_path / f"{cache_slug(grp)}.kkg"
+    save_cache(path, conjugacy_classes(table))
+    assert path.stat().st_size == groups._HEADER.size + 16 * N + 4
+    (t2, p2), peak = _traced_peak(load_cache, path, grp)
+    assert peak < 64 * N
+    assert np.array_equal(t2.coords, table.coords) and p2.num_classes == 720
 
 
 def test_cache_rejects_wrong_group(tmp_path):

@@ -193,6 +193,50 @@ def test_valuation_and_units():
         R.inv(R.zero)
 
 
+@pytest.mark.parametrize("kind, p, f, r", list(itertools.product(
+    ("witt", "poly"), (2, 3), (1, 2), (1, 2, 3))))
+def test_generic_valuation_units_and_reduction(kind, p, f, r):
+    R = ring_make(kind, p, f, r)
+    els = list(R.elements())
+    # the ideals pi^v O_r, v = 0, ..., r, by scalar products
+    ideals = [{R.mul(R.pow(R.pi, v), x) for x in els} for v in range(r + 1)]
+    assert [len(ideal) for ideal in ideals] == [R.q ** (r - v) for v in range(r + 1)]
+    for a in els:
+        v = R.valuation(a)
+        assert v == max(k for k in range(r + 1) if a in ideals[k]), a
+        assert R.is_unit(a) == (v == 0)
+        if v == 0:
+            assert R.mul(a, R.inv(a)) == R.one
+    # both sides are additive in each argument, so all a against the
+    # coordinate basis covers every pair
+    basis = [R.from_coords([int(i == k) for k in range(R.w)]) for i in range(R.w)]
+    for s in range(1, r + 1):
+        sub = R.truncate(s)
+        for a, b in itertools.product(els, basis):
+            ra, rb = R.reduce_to(a, s), R.reduce_to(b, s)
+            assert R.reduce_to(R.mul(a, b), s) == sub.mul(ra, rb)
+            assert R.reduce_to(R.add(a, b), s) == sub.add(ra, rb)
+
+
+@pytest.mark.parametrize("p, f", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_length_one_kinds_differ_only_in_names(p, f):
+    W, P = ring_make("witt", p, f, 1), ring_make("poly", p, f, 1)
+    assert (W.e, W.s) == (P.e, P.s) == (1, 1)
+    assert np.array_equal(W.structure_tensor(), P.structure_tensor())
+    assert W.pi == P.pi == W.zero
+    assert np.array_equal(ringmod._teichmuller_table(W), ringmod._teichmuller_table(P))
+    assert [W.witt_digits(a) for a in W.elements()] == [P.witt_digits(a) for a in P.elements()]
+    # the names: the label, the parser's t and the zmod-agreement check
+    assert P.label == f"F_{p ** f}[t]/t^1"
+    assert W.label == (f"Z/{p}" if f == 1 else f"GR({p}^1, {f})")
+    assert parse_element(P, "1+t") == P.one
+    with pytest.raises(ParseError):
+        parse_element(W, "1+t")
+    checks_w, checks_p = W.selftest().checks, P.selftest().checks
+    assert checks_w[:len(checks_p)] == checks_p
+    assert [c.name for c in checks_w[len(checks_p):]] == (["zmod-agreement"] if f == 1 else [])
+
+
 def test_inverse_on_random_units(rng):
     for kind, p, f, r in [("witt", 2, 1, 4), ("witt", 7, 1, 2),
                           ("witt", 2, 2, 3), ("poly", 3, 2, 2)]:
@@ -295,13 +339,15 @@ def test_from_index_rejects_out_of_range(kind, p, f, r):
 
 
 def test_encode_decode_roundtrip(rng):
+    # decoded as load_cache reads coordinates: fixed-width little-endian
     for kind, p, f, r in [("witt", 251, 1, 2), ("poly", 7, 2, 2)]:
         R = ring_make(kind, p, f, r)
         for _ in range(50):
             a = R.rand(rng)
             blob = R.encode(a)
             assert isinstance(blob, bytes)
-            assert R.decode(blob) == a
+            assert blob == ringmod._encode_rows(R, np.array([a])).tobytes()
+            assert tuple(np.frombuffer(blob, dtype=f"<u{R.coeff_width}").tolist()) == a
 
 
 def test_selftest_grid():
@@ -689,13 +735,13 @@ _X = symbols("x")
        data=st.data())
 def test_witt_mul_matches_integer_polynomial_remainder(p, f, r, data):
     R = ring_make("witt", p, f, r)
-    elem = st.tuples(*[st.integers(0, R.pr - 1)] * f)
+    elem = st.tuples(*[st.integers(0, R.characteristic - 1)] * f)
     a, b = data.draw(elem), data.draw(elem)
 
     def poly(c):
         return Poly(list(reversed(c)), _X, domain=ZZ)
     rem = (poly(a) * poly(b)).rem(poly(R.mhat)).all_coeffs()[::-1]
-    ref = tuple(int(c) % R.pr for c in rem) + (0,) * (f - len(rem))
+    ref = tuple(int(c) % R.characteristic for c in rem) + (0,) * (f - len(rem))
     assert R.mul(a, b) == ref
 
 
