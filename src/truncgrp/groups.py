@@ -19,14 +19,13 @@ one ``BatchRing.product_map`` applied with ``BatchRing.apply_map``.  The
 power maps and the p-regular check raise the coordinates of varying
 elements to powers with ``BatchRing.matpow``.
 
-Elements are found by their ``BatchRing.encode`` keys, which lie in
-[0, K) with K = M^(n n w) = |R|^(n n).  ``KeyIndex`` is a bitmap over
-that range with the count of set bits before each 64-bit word: the BFS
-asks it which products are new, and ``ElementTable`` turns a key's rank
-into an id.  It takes about K/4 bytes, 133 KB for GL_2 over Z/27 and
-F_3[t]/t^3.  Under ``CLASS_CAP`` the largest K of a group with
-generators is 81^4 (SL_2 over a ring of 81 elements, 11 MB), so one
-code path serves every group and no sorted-key search is kept beside it.
+Elements are found by their ``BatchRing.encode`` keys in [0, K), K =
+M^(n n w) = |R|^(n n).  A table has one ``KeyIndex``, a bitmap over that
+range with the count of set bits before each 64-bit word: the BFS fills
+it as it asks which products are new, and the table ranks keys in it to
+find ids.  It takes about K/4 bytes, 133 KB for GL_2 over Z/27 and
+F_3[t]/t^3 and at most 11 MB under ``CLASS_CAP`` (K = 81^4, SL_2 over a
+ring of 81 elements), so no sorted-key search is kept beside it.
 
 The classes are the orbits of the conjugation permutations X -> s*X*s^-1,
 one per generator s.  ``orbit_labels`` finds them by label propagation
@@ -34,14 +33,14 @@ with pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982): each
 element starts as its own label, takes the least label among its images,
 and labels are then followed to their own labels until nothing changes.
 
-Every pass over the table walks it in row blocks of ``_BFS_CHUNK``
-rows: the keys, index and ``sort_perm`` of ``ElementTable``, the
-conjugation permutations and the power maps; the BFS checks each
-batch's products one generator at a time.  So the coordinate, key and
-rank temporaries are sized by the block, not by the group, and a stage
-holds about (4 * generators + O(1)) bytes per element beyond the
-table: for the classes, one int32 permutation per generator and the
-labeller's four int32 arrays.
+The BFS writes each batch's new rows, one generator's products at a
+time, into the table's one coordinate array: it holds n n w coordinates
+and a 4-byte ``sort_perm`` entry per element beside the index.  Other
+passes walk the table in ``_BFS_CHUNK`` row blocks (``sort_perm``, the
+conjugation permutations, the power maps), so temporaries are sized by
+the block, and a stage holds about (4 * generators + O(1)) bytes per
+element beyond the table: for the classes, one int32 permutation per
+generator and the labeller's four int32 arrays.
 """
 
 from __future__ import annotations
@@ -160,22 +159,27 @@ class KeyIndex:
 class ElementTable:
     """All group elements, coordinate arrays indexed by a stable id."""
 
-    def __init__(self, group: GroupDesc, coords: np.ndarray):
+    def __init__(self, group: GroupDesc, coords: np.ndarray, index: KeyIndex | None = None):
         self.group = group
         self.ring = group.ring
         self.batch = BatchRing.get(group.ring)
         self.coords = np.ascontiguousarray(coords, dtype=self.batch.coord_dtype)
         N = len(self.coords)
-        # sized by the largest key, not M^(n n w): SL_1 over F_2[t]/t^40
-        # has one element but 2^40 possible keys
-        self.index = KeyIndex(max(int(keys.max()) for _, keys in self._keys()) + 1)
-        for _, keys in self._keys():
-            self.index.add(keys)
-        if len(self.index) != N:
+        if index is None:  # the BFS passes the index it filled with these rows
+            # by the largest key, not M^(n n w): SL_1 over F_2[t]/t^40 has
+            # one element but 2^40 possible keys
+            index = KeyIndex(max(int(keys.max()) for _, keys in self._keys()) + 1)
+            for _, keys in self._keys():
+                index.add(keys)
+        self.index = index
+        if len(index) != N:
             raise ClosureMismatchError("duplicate elements in table")
-        self.sort_perm = np.empty(N, dtype=np.int64)
+        self.sort_perm = np.empty(N, dtype=np.int32)  # ids fit, as in Partition.class_of
         for start, keys in self._keys():
-            self.sort_perm[self.index.rank(keys)[0]] = np.arange(start, start + len(keys))
+            pos, present = index.rank(keys)
+            if not present.all():
+                raise ClosureMismatchError("table row missing from its key index")
+            self.sort_perm[pos] = np.arange(start, start + len(keys), dtype=np.int32)
 
     def _keys(self):
         """(first id, keys) of each row block of the table."""
@@ -201,54 +205,52 @@ def enumerate_group(group: GroupDesc) -> ElementTable:
     Ids are assigned in discovery order: identity first, then for each
     FIFO batch the products batch*g0, batch*g1, ... with in-batch
     duplicates dropped at first occurrence.  A group of more than
-    ``CLASS_CAP`` elements raises ``CapExceededError`` before any work.
+    ``CLASS_CAP`` elements raises ``CapExceededError`` before any work,
+    and a closure that does not fill its ``group.order()`` rows exactly
+    raises ``ClosureMismatchError``.
     """
     expected = group.order()
     if expected > CLASS_CAP:
         raise CapExceededError(
             f"{group.label} has {expected} elements, cap {CLASS_CAP}")
-    R = group.ring
-    br = BatchRing.get(R)
+    br = BatchRing.get(group.ring)
     n = group.n
     gens = generators(group)
-    ident = mat_coords(group.identity_mat()).astype(br.coord_dtype)
-    chunks = [ident[None]]
+    coords = np.empty((expected, n, n, br.w), dtype=br.coord_dtype)
+    coords[0] = mat_coords(group.identity_mat())
     total = 1
+    seen = None
     if gens:
         # the whole key range: at most 81^4 keys (module docstring)
         seen = KeyIndex(br.M ** (n * n * br.w))
-        seen.add(br.encode(ident[None]))
+        seen.add(br.encode(coords[:1]))
         maps = [br.product_map(n, right=g) for g in gens]
-        frontier = deque([ident[None]])
+        flat = coords.reshape(expected, n * n * br.w)
+        frontier = deque([(0, 1)])  # row ranges of coords
         while frontier:
-            rows = frontier.popleft().reshape(-1, n * n * br.w)
-            found = []
+            start, stop = frontier.popleft()
+            batch_start = total
             # one generator at a time: what batch*g adds to seen is not
             # new for batch*g', g' later, so the fresh rows come out in
             # first-occurrence order of batch*g0, batch*g1, ...
             for lin in maps:
-                coords = br.apply_map(lin, rows).reshape(-1, n, n, br.w)
-                keys = br.encode(coords)
+                prod = br.apply_map(lin, flat[start:stop]).reshape(-1, n, n, br.w)
+                keys = br.encode(prod)
                 unseen = np.flatnonzero(~seen.contains(keys))
                 _, first = np.unique(keys[unseen], return_index=True)
                 fresh = unseen[np.sort(first)]
+                if total + len(fresh) > expected:
+                    raise ClosureMismatchError(
+                        f"closure of {group.label} outgrows its order {expected}")
                 seen.add(keys[fresh])
-                found.append(coords[fresh].astype(br.coord_dtype))
-            new_coords = np.concatenate(found)
-            if len(new_coords):
-                total += len(new_coords)
-                if total > CLASS_CAP:
-                    raise CapExceededError(
-                        f"closure of {group.label} exceeded cap {CLASS_CAP}")
-                chunks.append(new_coords)
-                for s in range(0, len(new_coords), _BFS_CHUNK):
-                    frontier.append(new_coords[s:s + _BFS_CHUNK])
-    all_coords = np.concatenate(chunks)
-    if len(all_coords) != expected:
+                coords[total:total + len(fresh)] = prod[fresh]
+                total += len(fresh)
+            frontier.extend((s, min(s + _BFS_CHUNK, total))
+                            for s in range(batch_start, total, _BFS_CHUNK))
+    if total != expected:
         raise ClosureMismatchError(
-            f"closure of {group.label} has {len(all_coords)} elements, "
-            f"expected {expected}")
-    return ElementTable(group, all_coords)
+            f"closure of {group.label} has {total} elements, expected {expected}")
+    return ElementTable(group, coords, seen)
 
 
 class Partition:

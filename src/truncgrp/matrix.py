@@ -486,13 +486,15 @@ def _sylow_chunks(group: GroupDesc):
         yield _sylow_coords(group, digits.T)
 
 
-def _sampled_digits(group: GroupDesc, trials: int, seed: int) -> np.ndarray:
-    """Digit rows (see ``_sylow_coords``) of seeded random Sylow elements:
-    one randrange(q) per digit, row by row."""
+def _sampled_digits(group: GroupDesc, trials: int, seed: int):
+    """Digit rows (see ``_sylow_coords``) of seeded random Sylow elements,
+    ``_ORDER_CHUNK`` rows at a time: one randrange(q) per digit, row by row."""
     rng = random.Random(seed)
     q, d = group.ring.q, _sylow_width(group)
-    return np.array([[rng.randrange(q) for _ in range(d)] for _ in range(trials)],
-                    dtype=batchmod._min_uint_dtype(q - 1))
+    for start in range(0, trials, _ORDER_CHUNK):
+        rows = min(_ORDER_CHUNK, trials - start)
+        yield np.array([[rng.randrange(q) for _ in range(d)] for _ in range(rows)],
+                       dtype=batchmod._min_uint_dtype(q - 1))
 
 
 def sylow_p_elements(group: GroupDesc):
@@ -585,7 +587,7 @@ def p_exponent(group: GroupDesc, strategy: str = "exhaustive", trials: int = 100
     elif strategy == "sampled":
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        chunks = [_sylow_coords(group, _sampled_digits(group, trials, seed))]
+        chunks = (_sylow_coords(group, d) for d in _sampled_digits(group, trials, seed))
         note += f"; lower bound from {trials} samples"
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -542,16 +542,11 @@ class Ring(_FlatTuples):
         return a[f:] + tuple(c // p for c in a[:f])
 
     def int_mul(self, a, k: int):
-        """k-fold sum of a (k may be any integer)."""
-        k %= self.characteristic
-        result = self.zero
-        base = a
-        while k:
-            if k & 1:
-                result = self.add(result, base)
-            base = self.add(base, base)
-            k >>= 1
-        return result
+        """k-fold sum of a (k may be any integer), by double-and-add on k
+        itself, not on k mod the characteristic, which the self-test checks."""
+        if k < 0:
+            return self.int_mul(self.neg(a), -k)
+        return square_and_multiply(self.add, a, k) if k else self.zero
 
     # -- valuation / units --------------------------------------------------
 

@@ -191,22 +191,6 @@ def _selftest_grid():
                       (9973, 1, 1)]
 
 
-def test_ring_selftest_grid():
-    with criterion("ring-selftest-grid", 30.0):
-        triples = _selftest_grid()
-        for p, f, r in triples:
-            for kind in ("witt", "poly"):
-                ring = ring_make(kind, p, f, r)
-                # the two kinds differ exactly in additive characteristic
-                assert ring.characteristic == (p ** r if kind == "witt" else p)
-                rep = ring.selftest(seed=0)
-                assert rep.ok, (kind, p, f, r, rep.failures())
-                names = {c.name for c in rep.checks}
-                assert "characteristic" in names
-                assert "teichmuller-multiplicative" in names
-                assert "teichmuller-fixed" in names
-
-
 # sha256 of every grid SelfTestReport (label, kind, p, f, r and each check's
 # name, ok, mode and witness), as computed by the scalar self test that
 # walked every element in Python loops
@@ -226,13 +210,30 @@ def test_field_moduli_pinned():
     assert hashlib.sha256(blob).hexdigest() == _GRID_MODULI_SHA256
 
 
+def _grid_reports_sha256(seed):
+    """sha256 of the grid's self-test reports at seed, each report ok."""
+    reports = []
+    for p, f, r in _selftest_grid():
+        for kind in ("witt", "poly"):
+            ring = ring_make(kind, p, f, r)
+            # the two kinds differ exactly in additive characteristic
+            assert ring.characteristic == (p ** r if kind == "witt" else p)
+            rep = ring.selftest(seed=seed)
+            assert rep.ok, (kind, p, f, r, rep.failures())
+            names = {c.name for c in rep.checks}
+            assert "characteristic" in names
+            assert "teichmuller-multiplicative" in names
+            assert "teichmuller-fixed" in names
+            reports.append([rep.ring_label, rep.kind, rep.p, rep.f, rep.r,
+                            [[c.name, c.ok, c.mode, c.witness] for c in rep.checks]])
+    return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
+
+def test_ring_selftest_grid():
+    # one seed-0 walk of the grid: every report ok and pinned
+    with criterion("ring-selftest-grid", 30.0):
+        assert _grid_reports_sha256(0) == _GRID_REPORTS_SHA256
+
+
 def test_ring_selftest_grid_reports_pinned():
-    for seed in (0, 1):
-        reports = []
-        for p, f, r in _selftest_grid():
-            for kind in ("witt", "poly"):
-                rep = ring_make(kind, p, f, r).selftest(seed=seed)
-                reports.append([rep.ring_label, rep.kind, rep.p, rep.f, rep.r,
-                                [[c.name, c.ok, c.mode, c.witness] for c in rep.checks]])
-        blob = json.dumps(reports, sort_keys=True).encode()
-        assert hashlib.sha256(blob).hexdigest() == _GRID_REPORTS_SHA256, seed
+    assert _grid_reports_sha256(1) == _GRID_REPORTS_SHA256

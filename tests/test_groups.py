@@ -71,6 +71,20 @@ def test_enumeration_cap(monkeypatch):
         enumerate_group(grp)
 
 
+@pytest.mark.parametrize("shift, match", [
+    (-1, "closure of GL_2\\(F_3\\[t\\]/t\\^2\\) outgrows its order 3887"),
+    (1, "has 3888 elements, expected 3889"),
+], ids=["outgrows", "falls-short"])
+def test_enumeration_rejects_a_closure_of_another_size(monkeypatch, shift, match):
+    # GL_2 over F_3[t]/t^2 has 3888 elements: a table one row short is
+    # refused before the BFS writes past it, one row long after the BFS
+    grp = _group("GL", 2, "poly", 3, 1, 2)
+    order = GroupDesc.order
+    monkeypatch.setattr(GroupDesc, "order", lambda self: order(self) + shift)
+    with pytest.raises(ClosureMismatchError, match=match):
+        enumerate_group(grp)
+
+
 def _outsider(R):
     """diag(1, 1 + pi): in GL_2, not in SL_2."""
     return Mat(R, [[R.one, R.zero], [R.zero, R.add(R.one, R.pi)]])
@@ -108,6 +122,17 @@ def test_table_rejects_duplicate_elements():
         ElementTable(grp, np.concatenate([table.coords, table.coords[5:6]]))
 
 
+def test_table_rejects_an_index_without_its_rows():
+    # as many keys as rows, but one of them not a row's
+    grp, table, _ = _pipeline("SL", 2, "poly", 2, 1, 2)
+    keys = table.batch.encode(table.coords)
+    index = KeyIndex(table.index.size)
+    index.add(keys[1:])
+    index.add(table.batch.encode(mat_coords(_outsider(grp.ring))[None]))
+    with pytest.raises(ClosureMismatchError, match="missing from its key index"):
+        ElementTable(grp, table.coords, index)
+
+
 def test_row_blocks_give_the_whole_table_results(monkeypatch):
     # SL_3 over F_2[t]/t^2, 43,008 elements: the same table read in row
     # blocks of 1000 (the last one 8 rows) gives the ids, classes and
@@ -141,7 +166,7 @@ def test_table_classes_and_power_map_peaks_are_row_blocks():
     # GL_2 over Z/27: 314,928 elements, ten _BFS_CHUNK row blocks.  Passes
     # over the whole table at once peaked at 65 (table), 81 (classes) and
     # 49 (power map) bytes per element, and fail these bounds; row blocks
-    # leave the persistent arrays: 8 bytes of sort_perm per element, and
+    # leave the persistent arrays: 4 bytes of sort_perm per element, and
     # for the classes one int32 permutation per generator and the orbit
     # labeller's four int32 arrays
     grp = _group("GL", 2, "witt", 3, 1, 3)
@@ -157,6 +182,18 @@ def test_table_classes_and_power_map_peaks_are_row_blocks():
     assert power_peak < 24 * N
     for i in (1, 32767, 32768, N - 1):  # either side of a block boundary
         assert table.mat(int(pmap[i])) == table.mat(i) ** 3
+
+
+def test_enumeration_peak_is_the_table():
+    # GL_2 over F_3[t]/t^3, 314,928 elements: the BFS writes its rows
+    # into the table it returns (12 bytes each) and hands that table its
+    # key index; a list of batches joined at the end, an int64 sort_perm
+    # and a second index peaked at 38.8 bytes per element
+    grp = _group("GL", 2, "poly", 3, 1, 3)
+    table, peak = _traced_peak(enumerate_group, grp)
+    assert len(table) == 314_928
+    assert table.sort_perm.dtype == np.int32
+    assert peak < 28 * len(table)
 
 
 # ---------------------------------------------------------------------------

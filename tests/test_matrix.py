@@ -1,5 +1,6 @@
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -348,6 +349,25 @@ def test_sampled_p_exponent_builds_only_the_drawn_kernel_entries(monkeypatch):
     res = p_exponent(GroupDesc("GL", 2, R), strategy="sampled", trials=5)
     assert res.method == "sampled"
     assert 1 <= len(calls) <= 5 * 4
+
+
+def test_sampled_p_exponent_draws_in_chunks(monkeypatch):
+    # GL_2 over Z/9, 100k trials: all draws held at once peaked at 16.5 MB
+    # (165 bytes a trial); one _ORDER_CHUNK of rows at a time peaks at 3.2
+    grp = GroupDesc("GL", 2, ring_make("witt", 3, 1, 2))
+    p_exponent(grp, strategy="sampled", trials=1)
+    tracemalloc.start()
+    try:
+        p_exponent(grp, strategy="sampled", trials=100_000)
+        assert tracemalloc.get_traced_memory()[1] < 6_000_000
+    finally:
+        tracemalloc.stop()
+    # the same seeded stream in chunks of 64: the first strict maximum
+    # over the chunks is the first argmax over all the draws
+    whole = p_exponent(grp, strategy="sampled", trials=1000, seed=5)
+    monkeypatch.setattr(matrix, "_ORDER_CHUNK", 64)
+    chunked = p_exponent(grp, strategy="sampled", trials=1000, seed=5)
+    assert (chunked.value, chunked.witness, chunked.note) == (whole.value, whole.witness, whole.note)
 
 
 def test_exhaustive_p_exponent_builds_no_scalar_table(monkeypatch):

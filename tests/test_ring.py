@@ -607,6 +607,18 @@ def _check(report, name):
     return next(c for c in report.checks if c.name == name)
 
 
+def test_characteristic_check_sums_the_multiple(monkeypatch):
+    # an add that reduces mod 27 in Z/9 makes 1 + ... + 1 (9 terms) = 9;
+    # reducing 9 mod the characteristic first would sum no terms at all
+    R = Ring("witt", 3, 1, 2)
+    assert _check(R.selftest(), "characteristic").ok
+    monkeypatch.setattr(R, "add", lambda a, b: tuple((x + y) % 27 for x, y in zip(a, b)))
+    assert R.int_mul(R.one, 9) == (9,)
+    check = _check(R.selftest(), "characteristic")
+    assert not check.ok and check.witness == "additive order of 1 is not 9"
+    assert R.int_mul(R.one, -1) == R.neg(R.one)
+
+
 @pytest.mark.parametrize("kind", ["witt", "poly"])
 @pytest.mark.parametrize("s", [1, 2])
 def test_reduction_homomorphism_catches_a_bad_truncation(monkeypatch, kind, s):
