@@ -174,12 +174,14 @@ class ElementTable:
         self.index = index
         if len(index) != N:
             raise ClosureMismatchError("duplicate elements in table")
-        self.sort_perm = np.empty(N, dtype=np.int32)  # ids fit, as in Partition.class_of
+        self.sort_perm = np.full(N, -1, dtype=np.int32)  # ids fit, as in Partition.class_of
         for start, keys in self._keys():
             pos, present = index.rank(keys)
             if not present.all():
                 raise ClosureMismatchError("table row missing from its key index")
             self.sort_perm[pos] = np.arange(start, start + len(keys), dtype=np.int32)
+        if (self.sort_perm < 0).any():  # two rows with one key left a slot empty
+            raise ClosureMismatchError("no row for a key of the index")
 
     def _keys(self):
         """(first id, keys) of each row block of the table."""

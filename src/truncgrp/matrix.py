@@ -283,9 +283,14 @@ class GroupDesc:
     def order(self) -> int:
         return self.residue_order() * self.ring.q ** ((self.ring.r - 1) * self.kernel_dim)
 
+    @property
+    def sylow_width(self):
+        """Digits per Sylow element (see ``_sylow_coords``): one per upper
+        entry, r - 1 per entry of the congruence kernel."""
+        return self.n * (self.n - 1) // 2 + (self.ring.r - 1) * self.kernel_dim
+
     def sylow_size(self) -> int:
-        q, n, r = self.ring.q, self.n, self.ring.r
-        return q ** (n * (n - 1) // 2) * q ** ((r - 1) * self.kernel_dim)
+        return self.ring.q ** self.sylow_width
 
     def identity_mat(self) -> Mat:
         return Mat.identity(self.ring, self.n)
@@ -465,19 +470,13 @@ def _solve_sl_corner(br, k):
         raise ArithmeticError("corner solve failed")
 
 
-def _sylow_width(group: GroupDesc) -> int:
-    """Digits per Sylow element: one per upper entry, r - 1 per free entry."""
-    upper, free = _sylow_positions(group)
-    return len(upper) + (group.ring.r - 1) * len(free)
-
-
 def _sylow_chunks(group: GroupDesc):
     """The whole Sylow subgroup in coordinate chunks: the flat index of
     an element is its digit row read in base q, first digit slowest."""
     size = group.sylow_size()
     if size > SYLOW_CAP:
         raise CapExceededError(f"Sylow subgroup of {group.label} has {size} elements, cap {SYLOW_CAP}")
-    q, d = group.ring.q, _sylow_width(group)
+    q, d = group.ring.q, group.sylow_width
     for start in range(0, size, _ORDER_CHUNK):
         flat = np.arange(start, min(start + _ORDER_CHUNK, size))
         digits = np.empty((d, len(flat)), dtype=batchmod._min_uint_dtype(q - 1))
@@ -490,7 +489,7 @@ def _sampled_digits(group: GroupDesc, trials: int, seed: int):
     """Digit rows (see ``_sylow_coords``) of seeded random Sylow elements,
     ``_ORDER_CHUNK`` rows at a time: one randrange(q) per digit, row by row."""
     rng = random.Random(seed)
-    q, d = group.ring.q, _sylow_width(group)
+    q, d = group.ring.q, group.sylow_width
     for start in range(0, trials, _ORDER_CHUNK):
         rows = min(_ORDER_CHUNK, trials - start)
         yield np.array([[rng.randrange(q) for _ in range(d)] for _ in range(rows)],

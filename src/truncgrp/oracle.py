@@ -258,25 +258,6 @@ class OracleReport:
     ok: bool
     first_mismatch: int | None
 
-    def payload(self):
-        return {
-            "group": self.group,
-            "p": self.p,
-            "dim": self.dim,
-            "num_classes": self.num_classes,
-            "dims_linalg": list(self.dims_linalg),
-            "dims_classes": list(self.dims_classes),
-            "stab_linalg": self.stab_linalg,
-            "stab_classes": self.stab_classes,
-            "commutator_rank_ok": self.commutator_rank_ok,
-            "t0_is_commutator": self.t0_is_commutator,
-            "chain_ok": self.chain_ok,
-            "dual_rank_ok": self.dual_rank_ok,
-            "terminal_ok": self.terminal_ok,
-            "ok": self.ok,
-            "first_mismatch": self.first_mismatch,
-        }
-
 
 def oracle_profile(A: AlgebraTable, part, p: int) -> OracleReport:
     """Recompute the dimension sequence by linear algebra and diff it

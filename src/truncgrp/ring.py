@@ -47,17 +47,24 @@ so on all of them F_q is the length-1 ring of either kind.
 Elements are immutable tuples and Fq/Ring instances are read-only
 context objects, so everything here is safe for concurrent use.
 
-Byte encoding (version 1): the coordinates, each little-endian in the
-fixed width of coord_mod - 1.
+Coordinate layout (``ENCODING_VERSION`` 1): an element is the flat
+tuple of its w coordinates described above.  A matrix entry of the
+batch arrays holds them in that order, and so do the partition cache's
+coordinate bytes, each coordinate a little-endian
+``BatchRing.coord_dtype``.
 
-Self test: ``Ring.selftest`` runs a check exhaustively when what it
-walks has at most ``_EXHAUSTIVE_CAP`` members: the Teichmueller fixed
-points (the q lifts; for r = 1 the residue field's Fermat identity),
-cardinality, unit count and the digit round trip (the ring's elements),
-and Teichmueller multiplicativity (q^2 pairs).  Above the cap it
-samples, or is skipped (cardinality); a sampled check draws at most
-``_SAMPLES`` seeded random elements.  The exhaustive checks run on
-numpy coordinate arrays in chunks of ``_SELFTEST_CHUNK`` elements.
+Self test: each check of ``Ring.selftest`` is one predicate.  A check
+runs exhaustively when what it walks has at most ``_EXHAUSTIVE_CAP``
+members: the Teichmueller fixed points (the q lifts; for r = 1 the
+residue field's Fermat identity), cardinality (coord_mod^w = size, and
+the scalar index maps against the batch coordinates), unit count and
+the digit round trip (the ring's elements, in one chunk walk), and
+Teichmueller multiplicativity (q^2 pairs).  Above the cap it samples,
+or is skipped (cardinality).  Every sampled check goes through one
+driver: at most ``_SAMPLES`` trials, each drawing its elements from
+the one seeded stream, up to the first trial that fails.  The
+exhaustive checks run on numpy coordinate arrays in chunks of
+``_SELFTEST_CHUNK`` elements.
 Products there come from ``structure_tensor``, which the scalar ``mul``
 of the very Fq or Ring under test computes on its basis, and
 Teichmueller digits from one table of the q lifts of ``teichmuller``,
@@ -67,8 +74,8 @@ the Sylow elements of ``matrix.p_exponent``.  The Fermat
 identity a^q = a takes one p-th power per element of F_q, kept as an
 index table of a -> a^p, and reads a^q off it by composing the table f
 times, with no further product.  A few elements of each batched check
-also run through the scalar Frobenius, ``encode``, ``is_unit`` or
-digit maps; a disagreement fails the check.  Lift tables and structure
+also run through the scalar Frobenius, index, ``is_unit`` or digit
+maps; a disagreement fails the check.  Lift tables and structure
 tensors hold Python ints where int64 cannot hold their sums
 (``batch.int_dtype``), so the batched checks are exact at every r.  The
 sampled checks stay scalar and tie the tensors to ``Fq.mul`` and
@@ -99,7 +106,7 @@ from .errors import NonUnitError, ParseError
 POLY = "poly"
 WITT = "witt"
 
-ENCODING_VERSION = 1
+ENCODING_VERSION = 1  # of the coordinate layout (module doc), in the cache header
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -486,7 +493,6 @@ class Ring(_FlatTuples):
                 gather[pos] = i
             self._pack = operator.itemgetter(*gather)
             self._unpack = operator.itemgetter(*packed)
-        self.coeff_width = max(1, ((self.coord_mod - 1).bit_length() + 7) // 8)
         self._teich = {}
         self.pi = self._times_u(self.one)  # p for witt, t for poly; 0 if r = 1
 
@@ -645,7 +651,7 @@ class Ring(_FlatTuples):
             acc = self.add(self.teichmuller(d), self._times_u(acc))
         return acc
 
-    # -- coordinates / enumeration / encoding --------------------------------
+    # -- coordinates ---------------------------------------------------------
 
     def from_coords(self, coords):
         """The element with these coordinates, checked: they may come from
@@ -656,10 +662,6 @@ class Ring(_FlatTuples):
         if any(not 0 <= c < self.coord_mod for c in coords):
             raise ValueError("coordinate out of range")
         return coords
-
-    def encode(self, a) -> bytes:
-        wdt = self.coeff_width
-        return b"".join(c.to_bytes(wdt, "little") for c in a)
 
     # -- text form ------------------------------------------------------------
 
@@ -768,68 +770,52 @@ def _unit_mask(ring, a):
     return (a[:, :ring.f] % ring.p).any(axis=1)
 
 
-def _encode_rows(ring, a):
-    """``encode`` on (N, w) coordinates: (N, w * coeff_width) bytes."""
-    shifts = 8 * np.arange(ring.coeff_width, dtype=np.int64)
-    return (a[:, :, None] >> shifts & 0xFF).astype(np.uint8).reshape(len(a), -1)
-
-
 def _exhaustive_walk(ring, taus, expected_units):
     """Cardinality, unit count and digit round trip over every element,
     as chunks of the coordinate array in index order.
 
-    The batch maps (``_encode_rows``, ``_unit_mask``, ``_digit_roundtrip``)
-    run on every element.  At ``_agreement_indices`` the scalar
-    ``encode``, ``is_unit``, ``witt_digits`` and ``from_digits`` run too,
-    and a disagreement fails the check it belongs to.  Returns the
-    witnesses of the cardinality, unit-count and digits-roundtrip checks,
-    None where a check passes; a digit witness is the first bad element
-    in index order."""
+    The batch maps (``_index_coords``, ``_unit_mask``,
+    ``_digit_roundtrip``) run once on each chunk.  At
+    ``_agreement_indices`` the scalar ``from_index`` and ``index``,
+    ``is_unit``, ``witt_digits`` and ``from_digits`` also run, on that
+    chunk's rows, and a disagreement fails the check it belongs to.
+    Returns the witnesses of the cardinality, unit-count and
+    digits-roundtrip checks, None where a check passes; a digit witness
+    is the first bad element in index order."""
     M, w = ring.coord_mod, ring.w
     total = M ** w
     sample = _agreement_indices(total)
-    a = _index_coords(sample, M, w)
-    enc_rows, unit_rows = _encode_rows(ring, a), _unit_mask(ring, a).tolist()
-    digits, back, _ = _digit_roundtrip(ring, taus, a)
-    encode_bad = unit_bad = sample_bad = walk_bad = None
-    for i, k in enumerate(sample):
-        x = ring.from_index(k)
-        if encode_bad is None and ring.encode(x) != enc_rows[i].tobytes():
-            encode_bad = x
-        if unit_bad is None and ring.is_unit(x) != unit_rows[i]:
-            unit_bad = x
-        if sample_bad is None:
-            d = ring.witt_digits(x)
-            if d != tuple(map(tuple, digits[i].tolist())) or ring.from_digits(d) != ring.from_coords(back[i]):
-                sample_bad = k
-    encodings, units = [], 0
+    units, index_bad, unit_bad, digit_bad = 0, None, None, None
     for start in range(0, total, _SELFTEST_CHUNK):
         a = _index_coords(range(start, min(total, start + _SELFTEST_CHUNK)), M, w)
-        encodings.append(_encode_rows(ring, a))
-        units += int(_unit_mask(ring, a).sum())
-        if walk_bad is None:
-            _, back, stuck = _digit_roundtrip(ring, taus, a)
-            rows = np.flatnonzero((back != a).any(axis=1) | stuck)
-            if rows.size:
-                walk_bad = start + int(rows[0])
-    encodings = np.concatenate(encodings)
-    # one opaque item per row: np.unique then sorts bytes, not columns
-    distinct = len(np.unique(encodings.view(np.dtype((np.void, encodings.shape[1])))))
-    if distinct != ring.size:
-        card_wit = f"{distinct} != {ring.size}"
-    elif encode_bad is not None:
-        card_wit = f"encode disagrees with the batch bytes on {ring.render(encode_bad)}"
-    else:
-        card_wit = None
-    if units != expected_units:
-        unit_wit = f"{units} != {expected_units}"
-    elif unit_bad is not None:
-        unit_wit = f"is_unit disagrees with the batch mask on {ring.render(unit_bad)}"
-    else:
-        unit_wit = None
-    digit_bad = min((k for k in (sample_bad, walk_bad) if k is not None), default=None)
-    digit_wit = None if digit_bad is None else ring.render(ring.from_index(digit_bad))
-    return card_wit, unit_wit, digit_wit
+        unit_rows = _unit_mask(ring, a)
+        units += int(unit_rows.sum())
+        here = [(k - start, ring.from_index(k)) for k in sample if start <= k < start + len(a)]
+        for i, x in here:
+            row = tuple(a[i].tolist())
+            if index_bad is None and (x != row or ring.index(x) != start + i):
+                index_bad = row
+            if unit_bad is None and ring.is_unit(x) != unit_rows[i]:
+                unit_bad = x
+        if digit_bad is None:
+            digits, back, stuck = _digit_roundtrip(ring, taus, a)
+            bad = np.flatnonzero((back != a).any(axis=1) | stuck)[:1].tolist()
+            for i, x in here:
+                d = ring.witt_digits(x)
+                if d != tuple(map(tuple, digits[i].tolist())) or ring.from_digits(d) != ring.from_coords(back[i]):
+                    bad.append(i)
+                    break
+            if bad:
+                digit_bad = ring.from_index(start + min(bad))
+
+    def witness(count, expected, bad, disagreement):
+        if count != expected:
+            return f"{count} != {expected}"
+        return None if bad is None else f"{disagreement} on {ring.render(bad)}"
+
+    return (witness(total, ring.size, index_bad, "from_index or index disagrees with the batch coordinates"),
+            witness(units, expected_units, unit_bad, "is_unit disagrees with the batch mask"),
+            None if digit_bad is None else ring.render(digit_bad))
 
 
 def _teichmuller_product_failure(ring, taus):
@@ -853,136 +839,102 @@ def _teichmuller_product_failure(ring, taus):
     return None
 
 
+def _shown(space, *xs):
+    """Witness text of sampled elements of a ring or field: one renders
+    alone, several as a parenthesised list."""
+    return space.render(xs[0]) if len(xs) == 1 else f"({', '.join(map(space.render, xs))})"
+
+
 def _run_selftest(ring: Ring, seed: int) -> SelfTestReport:
     rng = random.Random(seed)
+    fld, ch = ring.field, ring.characteristic
     checks = []
+
+    def note(name, mode, wit):
+        checks.append(SelfTestCheck(name, wit is None, mode, wit))
+
+    def sampled(space, k, fails, trials=_SAMPLES):
+        """Witness of the first of ``trials`` draws of k seeded random
+        elements of space (the ring or its field) that ``fails``: the
+        elements, after the label ``fails`` returns unless that is True;
+        None if no draw fails."""
+        for _ in range(trials):
+            xs = [space.rand(rng) for _ in range(k)]
+            why = fails(*xs)
+            if why:
+                return _shown(space, *xs) if why is True else f"{why}: {_shown(space, *xs)}"
+        return None
+
     small = ring.size <= _EXHAUSTIVE_CAP
-
-    def note(name, ok, mode, witness=None):
-        checks.append(SelfTestCheck(name, ok, mode, witness))
-
-    def rnd():
-        return ring.rand(rng)
-
+    pairs_exhaustive = ring.q * ring.q <= _EXHAUSTIVE_CAP
     # the Teichmueller lifts of F_q in index order, for the batched
     # digit round trip and the exhaustive multiplicativity check
-    pairs_exhaustive = ring.q * ring.q <= _EXHAUSTIVE_CAP
-    need_taus = small or pairs_exhaustive
-    taus = _teichmuller_table(ring) if need_taus else None
+    taus = _teichmuller_table(ring) if small or pairs_exhaustive else None
 
-    # one exhaustive walk when the ring is small enough: distinctness of
-    # encodings (cardinality), unit count, and digit round-trips all
-    # share the same chunks of the element array
     if small:
         expected_units = ring.q ** (ring.r - 1) * (ring.q - 1)
         witnesses = _exhaustive_walk(ring, taus, expected_units)
         for name, wit in zip(("cardinality", "unit-count", "digits-roundtrip"), witnesses):
-            note(name, wit is None, "exhaustive", wit)
+            note(name, "exhaustive", wit)
     else:
-        note("cardinality", True, "skipped", "size above exhaustive cap")
-        ok, wit = True, None
-        for _ in range(_SAMPLES):
-            a = rnd()
-            if ring.is_unit(a):
-                if ring.mul(a, ring.inv(a)) != ring.one:
-                    ok, wit = False, ring.render(a)
-                    break
-        note("unit-count", ok, "sampled", wit or "inverses of sampled units verified only")
-        ok, wit = True, None
-        for _ in range(_SAMPLES):
-            a = rnd()
-            if ring.from_digits(ring.witt_digits(a)) != a:
-                ok, wit = False, ring.render(a)
-                break
-        note("digits-roundtrip", ok, "sampled", wit)
+        checks.append(SelfTestCheck("cardinality", True, "skipped", "size above exhaustive cap"))
+        wit = sampled(ring, 1, lambda a: ring.is_unit(a) and ring.mul(a, ring.inv(a)) != ring.one)
+        checks.append(SelfTestCheck("unit-count", wit is None, "sampled",
+                                    wit or "inverses of sampled units verified only"))
+        note("digits-roundtrip", "sampled", sampled(ring, 1, lambda a: ring.from_digits(ring.witt_digits(a)) != a))
 
-    ok, wit = True, None
-    for _ in range(_SAMPLES):
-        a, b, c = rnd(), rnd(), rnd()
-        if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
-            ok, wit = False, f"({ring.render(a)}, {ring.render(b)}, {ring.render(c)})"
-            break
-    note("associativity", ok, "sampled", wit)
+    note("associativity", "sampled",
+         sampled(ring, 3, lambda a, b, c: ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c))))
+    note("distributivity", "sampled",
+         sampled(ring, 3, lambda a, b, c: ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c))))
 
-    ok, wit = True, None
-    for _ in range(_SAMPLES):
-        a, b, c = rnd(), rnd(), rnd()
-        if ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c)):
-            ok, wit = False, f"({ring.render(a)}, {ring.render(b)}, {ring.render(c)})"
-            break
-    note("distributivity", ok, "sampled", wit)
-
-    ch = ring.characteristic
     ok = ring.int_mul(ring.one, ch) == ring.zero and ring.int_mul(ring.one, ch // ring.p) != ring.zero
-    note("characteristic", ok, "exhaustive", None if ok else f"additive order of 1 is not {ch}")
-
+    note("characteristic", "exhaustive", None if ok else f"additive order of 1 is not {ch}")
     ok = ring.pow(ring.pi, ring.r) == ring.zero and ring.pow(ring.pi, ring.r - 1) != ring.zero
-    note("uniformizer-nilpotence", ok, "exhaustive", None if ok else "pi^r or pi^(r-1) wrong")
+    note("uniformizer-nilpotence", "exhaustive", None if ok else "pi^r or pi^(r-1) wrong")
 
-    fld = ring.field
+    def unfixed(a):
+        ta = ring.teichmuller(a)
+        return ring.residue(ta) != a or ring.pow(ta, ring.q) != ta
+
+    exhaustive = fld.q <= _EXHAUSTIVE_CAP
     if ring.r == 1:
         # the ring is the field and tau is the identity: X^q = X is the
-        # field's own Fermat identity, checked once per field and shared
+        # field's own Fermat identity, checked once per field and shared;
+        # a witness among the 20 samples that follow it wins
         bad = fld.fermat_check()
-        ok, wit = bad is None, None if bad is None else fld.render(bad)
-        for _ in range(min(_SAMPLES, 20)):
-            a = fld.rand(rng)
-            ta = ring.teichmuller(a)
-            if ring.residue(ta) != a or ring.pow(ta, ring.q) != ta:
-                ok, wit = False, fld.render(a)
-                break
-        note("teichmuller-fixed", ok, "exhaustive" if fld.q <= _EXHAUSTIVE_CAP else "sampled", wit)
+        wit = sampled(fld, 1, unfixed, min(_SAMPLES, 20)) or (None if bad is None else _shown(fld, bad))
+    elif exhaustive:
+        wit = next((_shown(fld, a) for a in fld.elements() if unfixed(a)), None)
     else:
-        exhaustive = fld.q <= _EXHAUSTIVE_CAP
-        ok, wit = True, None
-        for a in fld.elements() if exhaustive else (fld.rand(rng) for _ in range(_SAMPLES)):
-            ta = ring.teichmuller(a)
-            if ring.pow(ta, ring.q) != ta or ring.residue(ta) != a:
-                ok, wit = False, fld.render(a)
-                break
-        note("teichmuller-fixed", ok, "exhaustive" if exhaustive else "sampled", wit)
+        wit = sampled(fld, 1, unfixed)
+    note("teichmuller-fixed", "exhaustive" if exhaustive else "sampled", wit)
 
-    ok, wit = True, None
     if pairs_exhaustive:
-        mode = "exhaustive"
         k = _teichmuller_product_failure(ring, taus)
-        if k is not None:
-            a, b = fld.from_index(k // ring.q), fld.from_index(k % ring.q)
-            ok, wit = False, f"({fld.render(a)}, {fld.render(b)})"
+        wit = None if k is None else _shown(fld, fld.from_index(k // ring.q), fld.from_index(k % ring.q))
     else:
-        mode = "sampled"
-        for _ in range(_SAMPLES):
-            a, b = fld.rand(rng), fld.rand(rng)
-            if ring.mul(ring.teichmuller(a), ring.teichmuller(b)) != ring.teichmuller(fld.mul(a, b)):
-                ok, wit = False, f"({fld.render(a)}, {fld.render(b)})"
-                break
-    note("teichmuller-multiplicative", ok, mode, wit)
+        wit = sampled(fld, 2, lambda a, b: ring.mul(ring.teichmuller(a), ring.teichmuller(b))
+                      != ring.teichmuller(fld.mul(a, b)))
+    note("teichmuller-multiplicative", "exhaustive" if pairs_exhaustive else "sampled", wit)
 
-    # s = r is omitted: truncate(r) is the ring and reduce_to(x, r) is x.
-    # a and b are drawn even for r = 1, which keeps the random stream
-    # of the checks that follow
-    ok, wit = True, None
-    for _ in range(_SAMPLES):
-        a, b = rnd(), rnd()
+    def unreduced(a, b):
+        # s = r is omitted: truncate(r) is the ring and reduce_to(x, r) is
+        # x.  a and b are drawn even for r = 1, which keeps the random
+        # stream of the checks that follow
         ab, a_plus_b = ring.mul(a, b), ring.add(a, b)
         for s in range(1, ring.r):
-            sub = ring.truncate(s)
-            if (ring.reduce_to(ab, s) != sub.mul(ring.reduce_to(a, s), ring.reduce_to(b, s))
-                    or ring.reduce_to(a_plus_b, s) != sub.add(ring.reduce_to(a, s), ring.reduce_to(b, s))):
-                ok, wit = False, f"s={s}: ({ring.render(a)}, {ring.render(b)})"
-                break
-        if not ok:
-            break
-    note("reduction-homomorphism", ok, "sampled", wit)
+            sub, a_s, b_s = ring.truncate(s), ring.reduce_to(a, s), ring.reduce_to(b, s)
+            if ring.reduce_to(ab, s) != sub.mul(a_s, b_s) or ring.reduce_to(a_plus_b, s) != sub.add(a_s, b_s):
+                return f"s={s}"
+        return None
 
-    if ring.kind == WITT and ring.f == 1:
-        ok, wit = True, None
-        for _ in range(_SAMPLES):
-            a, b = rnd(), rnd()
-            if ring.mul(a, b)[0] != a[0] * b[0] % ch or ring.add(a, b)[0] != (a[0] + b[0]) % ch:
-                ok, wit = False, f"({a[0]}, {b[0]})"
-                break
-        note("zmod-agreement", ok, "sampled", wit)
+    note("reduction-homomorphism", "sampled", sampled(ring, 2, unreduced))
+
+    if ring.kind == WITT and ring.f == 1:  # one coordinate, rendered as the integer it is
+        note("zmod-agreement", "sampled",
+             sampled(ring, 2, lambda a, b: ring.mul(a, b)[0] != a[0] * b[0] % ch
+                     or ring.add(a, b)[0] != (a[0] + b[0]) % ch))
 
     return SelfTestReport(ring.label, ring.kind, ring.p, ring.f, ring.r, tuple(checks))
 

@@ -133,6 +133,16 @@ def test_table_rejects_an_index_without_its_rows():
         ElementTable(grp, table.coords, index)
 
 
+def test_table_rejects_a_repeated_row_under_a_full_index():
+    # row 0 copied over row 1: every row's key is in the BFS's index and
+    # the index has one key per row, but no row ranks to row 1's old key
+    grp, table, _ = _pipeline("SL", 2, "poly", 2, 1, 2)
+    coords = table.coords.copy()
+    coords[1] = coords[0]
+    with pytest.raises(ClosureMismatchError, match="no row for a key"):
+        ElementTable(grp, coords, table.index)
+
+
 def test_row_blocks_give_the_whole_table_results(monkeypatch):
     # SL_3 over F_2[t]/t^2, 43,008 elements: the same table read in row
     # blocks of 1000 (the last one 8 rows) gives the ids, classes and
