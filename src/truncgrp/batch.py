@@ -1,26 +1,31 @@
 """Vectorized batch arithmetic for matrices over a truncated local ring.
 
+Every product works on one coordinate-major form: ``block`` turns
+(..., n, n, w) coordinates into an (n, n, w, ...) signed copy, so each
+coordinate of each entry is one row over the batch, in the narrowest
+signed dtype that holds the sums of a product (``_dtype``).
+
 Products by fixed matrices, X -> A X B, are Z/M-linear on the
 D = n*n*w flat coordinates of X, M = coord_mod: ``product_map`` builds
 that (D, D) matrix from scalar ``Mat`` products and ``apply_map`` applies
-it to (N, D) coordinate rows with one vector addition per nonzero entry,
-in the narrowest signed dtype that holds D*(M-1)^2.  The BFS and the
-conjugacy classes multiply only by fixed generators and use this form.
+it to a block, one row addition per nonzero entry, in the narrowest
+signed dtype that holds D*(M-1)^2.  The BFS and the conjugacy classes
+multiply only by fixed generators and use this form, one block per row
+range for all generators.
 
 Where both factors vary (powers, the Sylow walk, the oracle table),
-``matmul`` takes and returns (..., n, n, w) coordinates too.  Only its
-left factor becomes a t-stack, (..., L, m, m) with m = n*c.  Both ring
-kinds are GR(p^s, f)[u]/(u^e - p), an element e slices of f coordinates
-mod p^s (see ``ring``): L = e, c = f and slice k is the u^k coefficient
-matrix with each GR(p^s, f) entry expanded to its c x c multiplication
-matrix over Z/p^s.  For the poly kind F_q[t]/t^r, (e, s) = (r, 1) and
-the entries of slice k are the t^k coefficients over F_q; for the witt
-kind, (e, s) = (1, r), so L = 1.  Column 0 of each c x c block, the
-image of 1, is the entry's coordinates, so the right factor stays
-coordinate columns and the product is the truncated convolution C_k =
-sum_{i+j=k} A_i @ B_j mod M (u^e = p is 0 whenever e > 1, as s = 1
-then): e(e+1)/2 small ``np.matmul`` calls, r(r+1)/2 for poly and one
-for witt, in the narrowest signed dtype that holds L*m*(M-1)^2.
+``matmul`` takes and returns (..., n, n, w) coordinates too, and blocks
+both factors.  Entry (i, j) of the product is sum_l A_il B_lj, and a
+ring product is linear in its right factor: (a b)_k = sum_y R(a)[k, y]
+b_y with R(a)[k, y] = sum_x a_x T[x, y, k] mod M, T the ring's
+structure tensor.  So C[i, j, k] accumulates R(A_il)[k, y] B_lj[y] over
+the nonzero (k, y) of R only, one multiply-add over the batch rows per
+(k, y), summed over l by broadcasting; (k, y) with the same sum over x
+share one row of R (for the poly kind, R(a)[k, y] = a_(k-y), no
+arithmetic at all).  A sum then adds at most n*w products of residues,
+L*n*c*(M-1)^2 with w = L*c (both ring kinds are GR(p^s, f)[u]/(u^e - p),
+an element e slices of f coordinates mod p^s, see ``ring``: L = e,
+c = f).  ``matpow`` blocks once and squares on the block.
 
 One rule picks every dtype: the narrowest integer type (int64 at least
 for arrays built from Python ints, ``int_dtype``) that holds the largest
@@ -129,26 +134,31 @@ class BatchRing:
         self.w = ring.w
         self.M = ring.coord_mod
         self.coord_dtype = _min_uint_dtype(self.M - 1)
-        # t-stack slices: the L = e coefficients of u, c = f coordinates each
-        self.c = ring.f
-        self.L = ring.e
         # structure tensor of ring.mul: e_i * e_j = sum_k T[i, j, k] e_k
         self.T = ring.structure_tensor()
-        self.T0 = self.T[:self.c, :self.c, :self.c]
-        if not np.array_equal(self.T, _convolution_tensor(self.T0, self.L)):
+        c = ring.f
+        if not np.array_equal(self.T, _convolution_tensor(self.T[:c, :c, :c], ring.e)):
             raise ArithmeticError(f"{ring!r}: multiplication is not a truncated "
                                   "convolution of its u^0 coefficients")
+        # the nonzero entries R(a)[k, y] = sum_x a_x T[x, y, k] of a
+        # multiplication matrix: (k, y, term), a term being the (x, T[x, y, k])
+        # pairs of the sum, shared by every (k, y) with the same sum
+        terms, self._pairs = {}, []
+        for k, y in np.argwhere((self.T != 0).any(axis=0).T).tolist():
+            term = tuple((int(x), int(self.T[x, y, k])) for x in np.flatnonzero(self.T[:, y, k]))
+            self._pairs.append((k, y, terms.setdefault(term, len(terms))))
+        self._terms = list(terms)
         # ring operations on (..., w) coordinate vectors, named as on ring.Ring;
-        # the dtype of their operands holds the sum of two residues and M
+        # their dtype holds the sum of two residues and M
         self.add_dtype = int_dtype(2 * (self.M - 1))
         self.zero = np.zeros(self.w, dtype=self.add_dtype)
         self.one = np.array(ring.one, dtype=self.add_dtype)
 
     def add(self, a, b):
-        return (a + b) % self.M
+        return (np.asarray(a, self.add_dtype) + np.asarray(b, self.add_dtype)) % self.M
 
     def neg(self, a):
-        return -a % self.M
+        return -np.asarray(a, self.add_dtype) % self.M
 
     def mul(self, a, b):
         """Products of (..., w) coordinate vectors: 1 x 1 ``matmul``, so
@@ -156,9 +166,9 @@ class BatchRing:
         return self.matmul(a[..., None, None, :], b[..., None, None, :])[..., 0, 0, :]
 
     def _dtype(self, n):
-        """Narrowest signed dtype for n x n stacks: an entry of a product
-        sums at most L*m products of residues mod M, m = n*c."""
-        return _min_int_dtype(self.L * n * self.c * (self.M - 1) ** 2)
+        """Narrowest signed dtype for products of n x n matrices: an entry
+        sums at most n*w = L*n*c products of residues mod M."""
+        return _min_int_dtype(n * self.w * (self.M - 1) ** 2)
 
     def identity(self, n: int) -> np.ndarray:
         """(n, n, w) coordinates of the n x n identity."""
@@ -167,44 +177,50 @@ class BatchRing:
         return ident
 
     def block(self, mats: np.ndarray) -> np.ndarray:
-        """(..., n, n, w) coordinate matrices to (..., L, n*c, n*c) t-stacks:
-        entry (r, s) of the block of a coefficient x is sum_u x_u T0[u, s, r],
-        one vector addition per nonzero entry of T0."""
+        """(..., n, n, w) coordinate matrices to their coordinate-major
+        (n, n, w, ...) copy, signed, in the dtype of their products."""
         a = np.asarray(mats)
-        n, L, c = a.shape[-2], self.L, self.c
-        lead = a.shape[:-3]
-        dtype = self._dtype(n)
-        # coefficient-major (c, ..., L, n, n) copy of the coordinates
-        src = np.ascontiguousarray(
-            np.moveaxis(a.reshape(lead + (n, n, L, c)), (-1, -2), (0, -3)), dtype=dtype)
-        out = np.zeros(lead + (L, n, c, n, c), dtype=dtype)
-        for u, s, r in zip(*np.nonzero(self.T0)):
-            out[..., r, :, s] += int(self.T0[u, s, r]) * src[u]
-        _reduce(out, self.M)
-        return out.reshape(lead + (L, n * c, n * c))
+        return np.array(np.moveaxis(a, (-3, -2, -1), (0, 1, 2)),
+                        dtype=self._dtype(a.shape[-2]), order="C")
 
     # -- batched operations ----------------------------------------------------
 
+    def _reps(self, A):
+        """One (n, n, ...) array per term: the entries R(A_il)[k, y] of the
+        (k, y) that share it, reduced mod M; a lone x with T = 1 is a view
+        of A's coordinate x."""
+        reps = []
+        for (x, v), *rest in self._terms:
+            if v == 1 and not rest:
+                reps.append(A[:, :, x])
+                continue
+            rep = v * A[:, :, x]
+            for x, v in rest:
+                rep += v * A[:, :, x]
+            _reduce(rep, self.M)
+            reps.append(rep)
+        return reps
+
+    def _product(self, A, B):
+        """Product of two blocks (``block``) with broadcast leading axes,
+        as a block reduced mod M: C[i, j, k] = sum over l and the nonzero
+        (k, y) of R(A_il)[k, y] B_lj[y]."""
+        reps = self._reps(A)
+        C = np.zeros(A.shape[:3] + np.broadcast_shapes(A.shape[3:], B.shape[3:]), A.dtype)
+        for k, y, term in self._pairs:
+            C[:, :, k] += (reps[term][:, :, None] * B[None, :, :, y]).sum(axis=1, dtype=C.dtype)
+        _reduce(C, self.M)
+        return C
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Products of (..., n, n, w) coordinate matrices, broadcast over
-        the leading axes: the t-stack of a times the (..., L, n*c, n)
-        coordinate columns of b, C_k = sum_{i+j=k} A_i @ B_j mod M."""
-        A = self.block(a)
-        b = np.asarray(b)
-        n, L, c = b.shape[-2], self.L, self.c
-        # (..., i, j, t, coefficient) -> (..., t, i, coefficient, j)
-        B = np.moveaxis(b.reshape(b.shape[:-3] + (n, n, L, c)), (-2, -4, -1, -3), (-4, -3, -2, -1))
-        B = np.ascontiguousarray(B, dtype=A.dtype).reshape(B.shape[:-4] + (L, n * c, n))
-        out = np.empty(np.broadcast_shapes(A.shape[:-3], B.shape[:-3]) + B.shape[-3:], A.dtype)
-        for k in range(L):
-            ck = out[..., k, :, :]
-            np.matmul(A[..., 0, :, :], B[..., k, :, :], out=ck)
-            for i in range(1, k + 1):
-                ck += np.matmul(A[..., i, :, :], B[..., k - i, :, :])
-        _reduce(out, self.M)
-        out = out.reshape(out.shape[:-2] + (n, c, n))
-        out = np.moveaxis(out, (-4, -3, -2, -1), (-2, -4, -1, -3))
-        return out.reshape(out.shape[:-2] + (self.w,))
+        the leading axes, as a (..., n, n, w) view of the product block."""
+        a, b = np.asarray(a), np.asarray(b)
+        # as many leading axes on both, so that the blocks' trailing ones broadcast
+        ndim = max(a.ndim, b.ndim)
+        A = self.block(a.reshape((1,) * (ndim - a.ndim) + a.shape))
+        B = self.block(b.reshape((1,) * (ndim - b.ndim) + b.shape))
+        return np.moveaxis(self._product(A, B), (0, 1, 2), (-3, -2, -1))
 
     def matpow(self, coords: np.ndarray, e: int) -> np.ndarray:
         if e < 0:
@@ -212,7 +228,8 @@ class BatchRing:
         if e == 0:
             ident = self.identity(np.shape(coords)[-2])
             return np.broadcast_to(ident, np.shape(coords)).copy()
-        return square_and_multiply(self.matmul, coords, e)
+        power = square_and_multiply(self._product, self.block(coords), e)
+        return np.moveaxis(power, (0, 1, 2), (-3, -2, -1))
 
     def is_identity(self, coords: np.ndarray) -> np.ndarray:
         ident = self.identity(np.shape(coords)[-2])
@@ -244,18 +261,20 @@ class BatchRing:
             lin[d] = mat_coords(x).reshape(D)
         return lin
 
-    def apply_map(self, lin: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Images x @ lin mod M of (N, D) coordinate rows x, exactly.
+    def apply_map(self, lin: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+        """Images x @ lin mod M of the (..., D) flat coordinates x of a
+        block (``block``), exactly, as (..., D) rows.
 
         Each output coordinate adds, over the nonzero entries of its
-        column of ``lin``, rows of a coordinate-major (D, N) copy of x,
-        in the narrowest signed dtype that holds D*(M-1)^2; the result is
-        the (N, D) transpose of that (D, N) array, reduced mod M."""
+        column of ``lin``, the coordinate rows of the block, in the
+        narrowest signed dtype that holds D*(M-1)^2; the result is a view
+        of that coordinate-major (D, ...) array, reduced mod M."""
         lin = np.asarray(lin)
         D, E = lin.shape
         dtype = _min_int_dtype(D * (self.M - 1) ** 2)
-        xt = np.array(np.asarray(coords).T, dtype=dtype, order="C")
-        out = np.zeros((E, xt.shape[1]), dtype=dtype)
+        # at least the block's dtype, which holds n*w*(M-1)^2
+        xt = blocked.reshape((D,) + blocked.shape[3:]).astype(dtype, copy=False)
+        out = np.zeros((E,) + xt.shape[1:], dtype=dtype)
         scaled = np.empty_like(out[0])
         for d, e in zip(*np.nonzero(lin)):
             v = int(lin[d, e])
@@ -265,7 +284,7 @@ class BatchRing:
                 np.multiply(xt[d], v, out=scaled)
                 out[e] += scaled
         _reduce(out, self.M)
-        return out.T
+        return np.moveaxis(out, 0, -1)
 
     # -- canonical integer keys --------------------------------------------------
 

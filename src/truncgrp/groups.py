@@ -15,9 +15,10 @@ a fixed size, and classes are labeled by their smallest element id.
 
 Both stages multiply only by fixed generators: the BFS maps a frontier
 batch X to X*g, the class stage maps the table to s*X*s^-1, each product
-one ``BatchRing.product_map`` applied with ``BatchRing.apply_map``.  The
-power maps and the p-regular check raise the coordinates of varying
-elements to powers with ``BatchRing.matpow``.
+one ``BatchRing.product_map`` applied with ``BatchRing.apply_map`` to the
+coordinate-major copy (``BatchRing.block``) of a row range, made once
+for all the generators.  The power maps and the p-regular check raise
+the coordinates of varying elements to powers with ``BatchRing.matpow``.
 
 Elements are found by their ``BatchRing.encode`` keys in [0, K), K =
 M^(n n w) = |R|^(n n).  A table has one ``KeyIndex``, a bitmap over that
@@ -35,9 +36,11 @@ and labels are then followed to their own labels until nothing changes.
 
 The BFS writes each batch's new rows, one generator's products at a
 time, into the table's one coordinate array: it holds n n w coordinates
-and a 4-byte ``sort_perm`` entry per element beside the index.  Other
-passes walk the table in ``_BFS_CHUNK`` row blocks (``sort_perm``, the
-conjugation permutations, the power maps), so temporaries are sized by
+and a 4-byte ``sort_perm`` entry per element beside the index, and one
+coordinate-major copy of the frontier range it expands.  Other passes
+walk the table in ``_BFS_CHUNK`` row blocks (``sort_perm``, the
+conjugation permutations, the power maps), each block copied
+coordinate-major once for all generators, so temporaries are sized by
 the block, and a stage holds about (4 * generators + O(1)) bytes per
 element beyond the table: for the classes, one int32 permutation per
 generator and the labeller's four int32 arrays.
@@ -227,16 +230,16 @@ def enumerate_group(group: GroupDesc) -> ElementTable:
         seen = KeyIndex(br.M ** (n * n * br.w))
         seen.add(br.encode(coords[:1]))
         maps = [br.product_map(n, right=g) for g in gens]
-        flat = coords.reshape(expected, n * n * br.w)
         frontier = deque([(0, 1)])  # row ranges of coords
         while frontier:
             start, stop = frontier.popleft()
             batch_start = total
+            batch = br.block(coords[start:stop])
             # one generator at a time: what batch*g adds to seen is not
             # new for batch*g', g' later, so the fresh rows come out in
             # first-occurrence order of batch*g0, batch*g1, ...
             for lin in maps:
-                prod = br.apply_map(lin, flat[start:stop]).reshape(-1, n, n, br.w)
+                prod = br.apply_map(lin, batch).reshape(-1, n, n, br.w)
                 keys = br.encode(prod)
                 unseen = np.flatnonzero(~seen.contains(keys))
                 _, first = np.unique(keys[unseen], return_index=True)
@@ -303,19 +306,18 @@ def orbit_labels(perms, size: int) -> np.ndarray:
 
 def _conjugation_perms(table: ElementTable) -> np.ndarray:
     """One int32 permutation of the ids per generator s, X -> s*X*s^-1,
-    filled one row block at a time."""
+    filled one row block at a time, each block blocked once for all s."""
     br = table.batch
     n = table.group.n
     N = len(table)
-    flat = table.coords.reshape(N, n * n * br.w)
     gens = generators(table.group)
+    maps = [br.product_map(n, s, s.inverse()) for s in gens]
     perms = np.empty((len(gens), N), dtype=np.int32)  # ids fit, as in orbit_labels
-    for s, perm in zip(gens, perms):
-        lin = br.product_map(n, s, s.inverse())
-        for start in range(0, N, _BFS_CHUNK):
-            conj = br.apply_map(lin, flat[start:start + _BFS_CHUNK])
-            perm[start:start + _BFS_CHUNK] = table.ids_from_keys(
-                br.encode(conj.reshape(-1, n, n, br.w)))
+    for start in range(0, N, _BFS_CHUNK):
+        block = br.block(table.coords[start:start + _BFS_CHUNK])
+        for lin, perm in zip(maps, perms):
+            conj = br.apply_map(lin, block).reshape(-1, n, n, br.w)
+            perm[start:start + _BFS_CHUNK] = table.ids_from_keys(br.encode(conj))
     return perms
 
 

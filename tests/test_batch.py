@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncgrp import Mat, mat_coords, mat_from_coords, ring_make
+from truncgrp import batch as batchmod
 from truncgrp import ring as ringmod
 from truncgrp.batch import BatchRing, _regrep
 from truncgrp.matrix import determinant
@@ -31,6 +32,13 @@ def test_batch_matmul_agrees_with_scalar(rng):
                 b = _rand_mat(R, n, rng)
                 prod = br.matmul(np.array([mat_coords(a)]), np.array([mat_coords(b)]))
                 assert mat_from_coords(R, prod[0]) == a * b
+            top = Mat(R, [[R.from_coords([R.coord_mod - 1] * R.w)] * n] * n)
+            mats = [top, a, b]
+            coords = np.array([mat_coords(m) for m in mats])
+            assert _to_mats(R, br.matpow(coords, 5)) == [m ** 5 for m in mats]
+            # the (N, 1) x (1, N) outer broadcast of the oracle's table
+            table = br.matmul(coords[:, None], coords[None])
+            assert [_to_mats(R, row) for row in table] == [[x * y for y in mats] for x in mats]
 
 
 @pytest.mark.parametrize("kind", ["witt", "poly"])
@@ -45,19 +53,12 @@ def test_batched_determinant_agrees_with_scalar(kind, rng):
         assert [tuple(row) for row in got.tolist()] == [m.det() for m in mats]
 
 
-def _dense_block(br, coords):
-    """t-stacks of (..., n, n, w) coordinates from the dense (..., w, w)
-    multiplication matrices of the t^k coefficients under T0."""
-    n, L, c = coords.shape[-2], br.L, br.c
-    a = coords.reshape(coords.shape[:-1] + (L, c))
-    rep = _regrep(br.T0, br.M, a)  # (..., row, col, t, rep-row, rep-col)
-    rep = np.moveaxis(rep, -3, -5).swapaxes(-3, -2)  # (..., t, row, rep-row, col, rep-col)
-    return rep.reshape(rep.shape[:-4] + (n * c, n * c))
-
-
 @pytest.mark.parametrize("f", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["witt", "poly"])
 def test_block_matches_dense_regrep(kind, f, rng):
+    # block is the coordinate-major copy of the coordinates, and the
+    # multiplication matrices that products read off it, R(a)[k, y] at the
+    # nonzero (k, y) only, are the dense regrep of each entry
     R = ring_make(kind, 2, f, 2)
     br = BatchRing.get(R)
     top = R.from_coords([R.coord_mod - 1] * R.w)
@@ -65,9 +66,14 @@ def test_block_matches_dense_regrep(kind, f, rng):
         mats = [Mat(R, [[top] * n] * n)] + [_rand_mat(R, n, rng) for _ in range(5)]
         coords = np.array([mat_coords(m) for m in mats])
         got = br.block(coords)
-        assert got.dtype == br._dtype(n)
-        assert np.array_equal(got, _dense_block(br, coords))
-        assert np.array_equal(br.block(coords[0]), got[0])
+        assert got.dtype == br._dtype(n) and got.flags.c_contiguous
+        assert np.array_equal(got, np.moveaxis(coords, 0, -1))
+        assert np.array_equal(br.block(coords[0]), coords[0])
+        reps = br._reps(got)
+        sparse = np.zeros((R.w, R.w) + got.shape[:2] + got.shape[3:], dtype=np.int64)
+        for k, y, term in br._pairs:
+            sparse[k, y] = reps[term]
+        assert np.array_equal(sparse.transpose(4, 2, 3, 0, 1), _regrep(br.T, br.M, coords))
 
 
 def test_regrep_is_multiplicative(rng):
@@ -147,11 +153,12 @@ def test_encode_overflow_guard():
     br = BatchRing.get(R)
     with pytest.raises(OverflowError, match="matrix does not fit in an int64 key"):
         br.encode(np.zeros((1, 2, 2, 1), dtype=np.int64))
-    # the t-stacks and their products are exact past int64
+    # the blocks and their products are exact past int64
     top = R.from_coords([R.coord_mod - 1])
     x = Mat(R, [[top, top], [R.one, top]])
     coords = mat_coords(x)
-    assert np.array_equal(br.block(coords[None])[0, 0], coords[..., 0])
+    blocked = br.block(coords[None])
+    assert blocked.dtype == object and np.array_equal(blocked[..., 0], coords)
     assert mat_from_coords(R, br.matmul(coords, coords)) == x * x
     # M >= 2^64: the guard compares exactly, with no float conversion
     R = ring_make("witt", 2, 1, 70)
@@ -168,20 +175,25 @@ def test_matpow_multiplies_only_what_it_needs(monkeypatch, rng):
     R = ring_make("poly", 3, 1, 2)
     br = BatchRing.get(R)
     coords = np.array([mat_coords(_rand_mat(R, 2, rng)) for _ in range(4)])
-    calls = [0]
-    matmul = BatchRing.matmul
+    calls = {"block": 0, "_product": 0}
 
-    def counted(self, a, b):
-        calls[0] += 1
-        return matmul(self, a, b)
-    monkeypatch.setattr(BatchRing, "matmul", counted)
+    def counted(name):
+        method = getattr(BatchRing, name)
+
+        def call(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return call
+    for name in calls:
+        monkeypatch.setattr(BatchRing, name, counted(name))
     for e, expected in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (12, 4)):
-        calls[0] = 0
-        got = br.matpow(coords, e)
-        assert calls[0] == expected, e
         ref = np.broadcast_to(br.identity(2), coords.shape)
         for _ in range(e):
-            ref = matmul(br, ref, coords)
+            ref = br.matmul(ref, coords)
+        calls.update(block=0, _product=0)
+        got = br.matpow(coords, e)
+        # one block in, squarings and products on it, one view out
+        assert calls == {"block": int(e > 0), "_product": expected}, e
         assert np.array_equal(got, ref), e
 
 
@@ -219,11 +231,6 @@ def test_matmul_and_roundtrip_agree_with_scalar(shape, data):
     b = _draw_mats(data, R, n, 1) * len(a)
     ca = np.array([mat_coords(m) for m in a])
     cb = np.array([mat_coords(m) for m in b])
-    # the image-of-1 column of each c x c block of a stack is the entry's
-    # coordinates, which matmul reads off the right factor
-    stacks = br.block(ca).reshape(len(a), br.L, n, br.c, n, br.c)[..., 0]
-    assert np.array_equal(np.moveaxis(stacks, (1, 2, 3, 4), (3, 1, 4, 2)),
-                          ca.reshape(len(a), n, n, br.L, br.c))
     prods = br.matmul(ca, cb)
     assert prods.shape == ca.shape
     assert _to_mats(R, prods) == [x * y for x, y in zip(a, b)]
@@ -268,11 +275,46 @@ def test_stack_dtype_is_narrowest_that_holds_the_sums(kind, p, r, n, dtype, rng)
     top = R.from_coords([R.coord_mod - 1] * R.w)
     mats = [Mat(R, [[top] * n] * n)] + [_rand_mat(R, n, rng) for _ in range(4)]
     coords = np.array([mat_coords(m) for m in mats])
-    assert br.block(coords).dtype == dtype
     prods = br.matmul(coords, coords[0])
+    assert prods.dtype == dtype
     assert _to_mats(R, prods) == [x * mats[0] for x in mats]
     prods = br.matmul(coords[0], coords)
     assert _to_mats(R, prods) == [mats[0] * x for x in mats]
+
+
+@pytest.mark.parametrize("kind, p, f, r", [
+    ("witt", 2, 2, 20),  # GR(2^20, 2): n * 2 * (2^20 - 1)^2 < 2^63
+    ("witt", 3, 2, 2),
+    ("poly", 2, 2, 3),
+])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matmul_dtype_is_never_wider_than_the_bound(kind, p, f, r, n, rng):
+    # the multiplication matrices are reduced before they meet the right
+    # factor: scaling products of coordinates by structure constants up to
+    # M - 1 first would need (M - 1)^3 and push GR(2^20, 2) to object
+    R = ring_make(kind, p, f, r)
+    br = BatchRing.get(R)
+    top = Mat(R, [[R.from_coords([R.coord_mod - 1] * R.w)] * n] * n)
+    mats = [top] + [_rand_mat(R, n, rng) for _ in range(3)]
+    coords = np.array([mat_coords(m) for m in mats])
+    prods = br.matmul(coords, coords[0])
+    assert prods.dtype == batchmod._min_int_dtype(R.e * n * R.f * (R.coord_mod - 1) ** 2)
+    assert _to_mats(R, prods) == [x * mats[0] for x in mats]
+
+
+@pytest.mark.parametrize("kind, p, r, a, b, total, negated", [
+    ("poly", 3, 3, (1, 0, 0), (2, 2, 2), (0, 2, 2), (2, 0, 0)),  # F_3[t]/t^3
+    ("witt", 3, 5, (242,), (242,), (241,), (1,)),                 # Z/3^5
+    ("witt", 2, 8, (1,), (255,), (0,), (255,)),                   # Z/2^8
+])
+def test_add_and_neg_are_exact_on_table_rows(kind, p, r, a, b, total, negated):
+    # the table's unsigned coord_dtype rows: no wrap, no out-of-range M
+    br = BatchRing.get(ring_make(kind, p, 1, r))
+    a, b = (np.array([x], dtype=br.coord_dtype) for x in (a, b))
+    assert a.dtype == np.uint8
+    assert br.add(a, b).tolist() == [list(total)]
+    assert br.neg(a).tolist() == [list(negated)]
+    assert br.add(br.neg(a), a).tolist() == [[0] * len(total)]
 
 
 def _rand_unit_mat(R, n, rng):
@@ -299,11 +341,10 @@ def test_product_map_agrees_with_stacks_and_scalar(kind, p, f, r, acc, n, rng):
     top = Mat(R, [[R.from_coords([R.coord_mod - 1] * R.w)] * n] * n)
     xs = [top, ident] + [_rand_mat(R, n, rng) for _ in range(6)]
     coords = np.array([mat_coords(x) for x in xs])
-    rows = coords.reshape(len(xs), n * n * R.w)
     s = _rand_unit_mat(R, n, rng)
     a, b = _rand_mat(R, n, rng), _rand_mat(R, n, rng)
     for left, right in ((a, None), (None, b), (top, top), (s, s.inverse())):
-        got = br.apply_map(br.product_map(n, left, right), rows)
+        got = br.apply_map(br.product_map(n, left, right), br.block(coords))
         if acc is not None:
             assert got.dtype == acc
         got = got.reshape(coords.shape)
@@ -323,14 +364,16 @@ def test_apply_map_overflow_is_defined():
     x = Mat(R, [[R.from_coords([3])]])
     lin = br.product_map(1, right=x)
     assert lin.tolist() == [[3]]
-    rows = np.array([[R.coord_mod - 1], [5]], dtype=np.int64)
-    assert br.apply_map(lin, rows).tolist() == [[R.coord_mod - 3], [15]]
+    coords = np.array([[[[R.coord_mod - 1]]], [[[5]]]], dtype=np.int64)
+    assert br.apply_map(lin, br.block(coords)).tolist() == [[R.coord_mod - 3], [15]]
 
 
 @pytest.mark.parametrize("p, f, r", [
     (2, 1, 40),  # the coordinates fit int64, sums of their products do not
     (2, 1, 70),  # the coordinates do not fit either
     (3, 2, 41),
+    (2, 1, 63),  # uint64 coordinates
+    (5, 1, 27),  # int64 holds 5^27, not (5^27 - 1)^2
 ])
 def test_matmul_and_matpow_exact_beyond_int64(p, f, r, rng):
     R = ring_make("witt", p, f, r)
@@ -338,10 +381,13 @@ def test_matmul_and_matpow_exact_beyond_int64(p, f, r, rng):
     top = Mat(R, [[R.from_coords([R.coord_mod - 1] * R.w)] * 2] * 2)
     mats = [top] + [_rand_mat(R, 2, rng) for _ in range(3)]
     coords = np.array([mat_coords(m) for m in mats])
-    assert br.block(coords).dtype == object
     prods = br.matmul(coords, coords[::-1])
+    assert prods.dtype == object
     assert _to_mats(R, prods) == [x * y for x, y in zip(mats, mats[::-1])]
     assert _to_mats(R, br.matpow(coords, 5)) == [m ** 5 for m in mats]
+    # the (N, 1) x (1, N) outer broadcast of the oracle's table
+    table = br.matmul(coords[:, None], coords[None])
+    assert [_to_mats(R, row) for row in table] == [[x * y for y in mats] for x in mats]
 
 
 def _product_to(R, a, b, k):

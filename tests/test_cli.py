@@ -212,7 +212,7 @@ def test_classes_of_the_trivial_group_need_no_products(capsys):
 
 
 def test_kuelshammer_of_sl1_over_z_2_40_stacks_python_ints(capsys):
-    # x^2 of the identity goes through a t-stack of Python ints: sums of
+    # x^2 of the identity goes through a block of Python ints: sums of
     # products of residues mod 2^40 do not fit int64
     rc = main(["--format", "json", "kuelshammer", "--family", "SL", "-n", "1",
                "--kind", "witt", "-p", "2", "-r", "40"])

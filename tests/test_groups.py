@@ -16,6 +16,7 @@ from truncgrp import (CapExceededError, ClosureMismatchError, GroupDesc, Mat,
                       load_cache, partition_for, ring_make,
                       save_cache, proven_regime)
 from truncgrp import groups
+from truncgrp.batch import BatchRing
 from truncgrp.groups import ElementTable, KeyIndex, cache_slug, orbit_labels
 from truncgrp.matrix import mat_coords
 
@@ -160,6 +161,37 @@ def test_row_blocks_give_the_whole_table_results(monkeypatch):
     # a repeat in another block is still a duplicate
     with pytest.raises(ClosureMismatchError, match="duplicate"):
         ElementTable(grp, np.concatenate([table.coords[:-1], table.coords[3:4]]))
+
+
+def test_each_row_block_is_blocked_once(monkeypatch):
+    # SL_3 over F_2[t]/t^2, 43,008 elements, in row blocks of 1000: the BFS
+    # blocks each frontier range once for all its generators, and the
+    # class stage each row block once for all its conjugations
+    grp, table, part = _pipeline("SL", 3, "poly", 2, 1, 2)
+    perms = groups._conjugation_perms(table)
+    monkeypatch.setattr(groups, "_BFS_CHUNK", 1000)
+    blocked, mapped = [], [0]
+    block, apply_map = BatchRing.block, BatchRing.apply_map
+
+    def counted_block(self, mats):
+        blocked.append(len(mats))
+        return block(self, mats)
+
+    def counted_apply_map(self, lin, x):
+        mapped[0] += 1
+        return apply_map(self, lin, x)
+    monkeypatch.setattr(BatchRing, "block", counted_block)
+    monkeypatch.setattr(BatchRing, "apply_map", counted_apply_map)
+    small = enumerate_group(grp)
+    # every row is a frontier row once, and each range meets every generator
+    assert sum(blocked) == len(small) == len(table) and max(blocked) <= 1000
+    assert mapped[0] == len(blocked) * len(generators(grp))
+    blocked.clear()
+    assert np.array_equal(groups._conjugation_perms(table), perms)
+    assert blocked == [1000] * 43 + [8]
+    small_part = conjugacy_classes(table)
+    assert small_part.num_classes == part.num_classes
+    assert np.array_equal(small_part.class_of, part.class_of)
 
 
 def _traced_peak(fn, *args):

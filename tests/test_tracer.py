@@ -45,6 +45,6 @@ def test_tracer_wraps_and_reports_every_metric(peaks, monkeypatch, capsys):
         assert metrics["matrix.p_exponent_s.poly"] > 0
         assert metrics["matrix.mat_mul_calls"] > 0
         assert metrics["batch.matmul_calls.poly"] > 0
-        # matmul builds its left factor's t-stack with the traced block
+        # matmul blocks both factors with the traced block
         assert metrics["batch.block_s.poly"] > 0
         assert metrics["cli.verify_s.order-witness"] > 0
