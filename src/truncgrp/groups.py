@@ -626,5 +626,8 @@ def partition_for(group: GroupDesc, cache_dir=None):
     table = enumerate_group(group)
     part = conjugacy_classes(table)
     if path is not None:
-        save_cache(path, part)
+        try:
+            save_cache(path, part)
+        except OSError as exc:
+            log.warning("cache %s: cannot write (%s), not cached", path, exc)
     return table, part

@@ -47,7 +47,7 @@ _ORDER_CHUNK = 16384
 class Mat:
     """Immutable n x n matrix over a truncated local ring."""
 
-    __slots__ = ("ring", "rows", "_hash")
+    __slots__ = ("ring", "rows")
 
     def __init__(self, ring, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -56,7 +56,6 @@ class Mat:
             raise ValueError("matrix must be square and nonempty")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
@@ -87,11 +86,7 @@ class Mat:
         return isinstance(other, Mat) and self.ring == other.ring and self.rows == other.rows
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.ring, self.rows))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.ring, self.rows))
 
     def __add__(self, other):
         R = self.ring
@@ -581,11 +576,11 @@ def p_exponent(group: GroupDesc, strategy: str = "exhaustive", trials: int = 100
         upper = p ** bound_exp
         note = (f"upper bound p^(r-1+ceil(log_p n)) = {upper}: unipotent exponent over the "
                 f"residue field times one factor of p per extra length step")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if strategy == "exhaustive":
         chunks = _sylow_chunks(group)
     elif strategy == "sampled":
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
         chunks = (_sylow_coords(group, d) for d in _sampled_digits(group, trials, seed))
         note += f"; lower bound from {trials} samples"
     else:

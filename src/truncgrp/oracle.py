@@ -9,6 +9,11 @@ orthogonal spaces under the symmetrizing form (e_g, e_h) = [gh = 1] --
 and reports where the two computations agree or diverge.  It is only
 meant for small groups: ``AlgebraTable.from_element_table`` raises
 ``CapExceededError`` above ``ORACLE_CAP`` elements, before any product.
+
+Each space is one ``_rref`` of its stacked rows, except [A,A], whose
+up to dim^2/2 pair vectors are inserted one at a time.  One walk of the
+table (``AlgebraTable.power``) powers a whole id array: T_n's p^n-th
+power map, and the p-regular count (g^m = 1, m the p'-part of |G|).
 """
 
 from __future__ import annotations
@@ -65,12 +70,12 @@ class AlgebraTable:
         mult = table.ids_from_keys(keys.reshape(-1)).reshape(n, n)
         return cls(p, mult)
 
-    def order_of(self, g: int) -> int:
-        k, x = 1, g
-        while x != 0:
-            x = int(self.mult[x, g])
-            k += 1
-        return k
+    def power(self, ids, e: int) -> np.ndarray:
+        """g^e for every id g in ``ids``, from one walk of the id array."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if e == 0:
+            return np.zeros_like(ids)
+        return square_and_multiply(lambda a, b: self.mult[a, b], ids, e)
 
 
 def alg_mul(A: AlgebraTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -87,10 +92,6 @@ def alg_pow(A: AlgebraTable, x: np.ndarray, e: int) -> np.ndarray:
         return np.eye(1, A.dim, dtype=np.int64)[0]
     return square_and_multiply(lambda a, b: alg_mul(A, a, b),
                                np.asarray(x, dtype=np.int64) % A.p, e)
-
-
-def _id_pow(A: AlgebraTable, g: int, e: int) -> int:
-    return square_and_multiply(lambda a, b: int(A.mult[a, b]), g, e) if e else 0
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +126,10 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
     ncols = mat.shape[1]
     rr, pivots = _rref(mat, p)
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    free = np.setdiff1d(np.arange(ncols), pivots)
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for j, pc in enumerate(pivots):
-            basis[k, pc] = (-rr[j, fc]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -rr[:, free].T % p
     return basis
 
 
@@ -148,9 +147,10 @@ class Subspace:
         return len(self.pivots)
 
     def reduce(self, vec) -> np.ndarray:
+        """vec, or each row of a stack of them, reduced against the basis."""
         v = np.asarray(vec, dtype=np.int64) % self.p
         if self.pivots:
-            v = (v - v[self.pivots] @ self.rows) % self.p
+            v = (v - v[..., self.pivots] @ self.rows) % self.p
         return v
 
     def insert(self, vec) -> bool:
@@ -169,10 +169,11 @@ class Subspace:
         return True
 
     def contains(self, vec) -> bool:
+        """Whether vec, or every row of a stack of them, lies in the span."""
         return not self.reduce(vec).any()
 
     def leq(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.rows)
+        return other.contains(self.rows)
 
     def eq(self, other: "Subspace") -> bool:
         return self.rank == other.rank and self.leq(other)
@@ -180,8 +181,7 @@ class Subspace:
     @classmethod
     def from_rows(cls, p: int, dim: int, rows) -> "Subspace":
         s = cls(p, dim)
-        for row in rows:
-            s.insert(row)
+        s.rows, s.pivots = _rref(np.reshape(rows, (-1, dim)), p)
         return s
 
 
@@ -212,10 +212,9 @@ def kuelshammer_space(A: AlgebraTable, n: int, comm: Subspace | None = None) -> 
     if comm is None:
         comm = commutator_space(A)
     e = A.p ** n
-    pow_ids = np.array([_id_pow(A, g, e) for g in range(A.dim)])
-    eye = np.eye(A.dim, dtype=np.int64)
-    reduced = np.stack([comm.reduce(eye[t]) for t in range(A.dim)])
-    mat = reduced[pow_ids].T  # column g = e_(g^(p^n)) mod [A,A]
+    reduced = comm.reduce(np.eye(A.dim, dtype=np.int64))
+    # column g = e_(g^(p^n)) mod [A,A]
+    mat = reduced[A.power(np.arange(A.dim), e)].T
     basis = nullspace(mat, A.p)
     t = Subspace.from_rows(A.p, A.dim, basis)
     if t.rank != len(basis):
@@ -229,8 +228,6 @@ def kuelshammer_space(A: AlgebraTable, n: int, comm: Subspace | None = None) -> 
 
 def perp(S: Subspace, A: AlgebraTable) -> Subspace:
     """Orthogonal space under the symmetrizing form (e_g, e_h) = [gh = 1]."""
-    if S.rank == 0:
-        return Subspace.from_rows(S.p, S.dim, np.eye(S.dim, dtype=np.int64))
     constraints = S.rows[:, A.inv]
     out = Subspace.from_rows(S.p, S.dim, nullspace(constraints, S.p))
     if out.rank != S.dim - S.rank:
@@ -268,13 +265,9 @@ def oracle_profile(A: AlgebraTable, part, p: int) -> OracleReport:
         raise ValueError("algebra table was built for a different prime")
     comm = commutator_space(A)
     comm_rank_ok = comm.rank == A.dim - part.num_classes
-    t0_ok = kuelshammer_space(A, 0, comm).eq(comm)
-    dims = []
-    chain_ok = True
-    dual_ok = True
-    spaces = []
-    n = 0
-    while True:
+    dims, spaces = [], []
+    chain_ok = dual_ok = True
+    for n in range(A.dim + 1):
         t = kuelshammer_space(A, n, comm)
         if spaces:
             chain_ok = chain_ok and spaces[-1].leq(t)
@@ -284,12 +277,14 @@ def oracle_profile(A: AlgebraTable, part, p: int) -> OracleReport:
         pp = perp(t, A)
         dual_ok = dual_ok and (pp.rank == A.dim - t.rank)
         dims.append(pp.rank)
-        n += 1
-        if n > A.dim:
-            raise ArithmeticError("T_n chain failed to stabilize")
+    else:
+        raise ArithmeticError("T_n chain failed to stabilize")
+    t0_ok = spaces[0].eq(comm)
     stab_linalg = len(dims) - 1
-    regular = sum(1 for rep in part.reps
-                  if A.order_of(int(rep)) % p != 0)
+    m = A.dim  # the p'-part of |G|; g is p-regular iff g^m = 1
+    while m % p == 0:
+        m //= p
+    regular = int((A.power(part.reps, m) == 0).sum())
     terminal_ok = dims[-1] == regular
     a, b = groupsmod._padded(tuple(dims), prof.dims)
     first_mismatch = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)

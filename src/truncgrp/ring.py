@@ -26,8 +26,11 @@ equality, ``truncate``'s target, the parser's ``t`` and the
 
 Field elements are tuples of f integers in [0, p).  The field modulus
 is chosen deterministically: scanning the non-leading coefficients as
-little-endian base-p digits, the first monic irreducible wins.  All
-derived encodings are therefore reproducible across runs and platforms.
+little-endian base-p digits, the first monic irreducible wins.  Every
+candidate of every degree goes through the one power/gcd test of
+``_is_irreducible`` (x^(p^f) = x mod m, and gcd(x^(p^(f/l)) - x, m) = 1
+for each prime l dividing f).  All derived encodings are therefore
+reproducible across runs and platforms.
 
 Multiplication: one kernel, ``_mulmod``, multiplies two integer
 coefficient tuples modulo a monic polynomial and an integer.  ``Fq.mul``
@@ -220,28 +223,11 @@ def _pgcd(a, b, p):
     return a
 
 
-def _has_root(m, p):
-    for c in range(p):
-        acc = 0
-        for coef in reversed(m):
-            acc = (acc * c + coef) % p
-        if acc == 0:
-            return True
-    return False
-
-
 def _is_irreducible(m, p):
     """Monic m over Z/p: x^(p^f) = x mod m and gcd(x^(p^(f/l)) - x, m) = 1."""
     f = len(m) - 1
     if f == 1:
         return True
-    if p <= 1000:
-        # cheap screen: a linear factor kills most scan candidates, and
-        # for degree 2 or 3 rootlessness is already equivalent
-        if _has_root(m, p):
-            return False
-        if f <= 3:
-            return True
     x = (0, 1) + (0,) * (f - 2)
     mul = functools.partial(_mulmod, m=m, M=p)
     if square_and_multiply(mul, x, p ** f) != x:
@@ -382,8 +368,6 @@ class Fq(_FlatTuples):
     def inv(self, a):
         if a == self.zero:
             raise NonUnitError("0 has no inverse in F_q")
-        if self.f == 1:
-            return (pow(a[0], -1, self.p),)
         return self.pow(a, self.q - 2)
 
     def frobenius(self, a):

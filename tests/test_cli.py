@@ -185,11 +185,13 @@ def test_exponent_command_strategies(capsys):
 
 
 def test_exponent_sampled_without_trials_exits_2(capsys):
+    # auto resolves to exhaustive here; the check comes before either
     base = ["exponent", "--family", "SL", "-n", "2", "--kind", "witt", "-p",
-            "2", "-r", "2", "--strategy", "sampled", "--trials"]
-    for trials in ("0", "-3"):
-        assert main(base + [trials]) == 2
-        assert "error: trials must be >= 1" in capsys.readouterr().err
+            "2", "-r", "2", "--strategy"]
+    for strategy in ("sampled", "auto", "exhaustive"):
+        for trials in ("0", "-3"):
+            assert main(base + [strategy, "--trials", trials]) == 2
+            assert "error: trials must be >= 1" in capsys.readouterr().err
 
 
 def test_classes_command_lists_sizes(capsys):
@@ -275,6 +277,19 @@ def test_cli_import_needs_no_scipy(blocked):
     proc = _run_python("import truncgrp.cli\n"
                        "assert sys.modules.get('scipy') is None", blocked=blocked)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_unwritable_cache_dir_warns_and_reports(tmp_path):
+    # a regular file where the cache directory should be: mkdir fails
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    cmd = ["--format", "json", "--canonical", "classes", "-n", "1", "--kind",
+           "witt", "-p", "3"]
+    plain = _run_python(_MAIN, *cmd)
+    proc = _run_python(_MAIN, "--cache-dir", str(blocker), *cmd)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == plain.stdout
+    assert "cannot write" in proc.stderr and "not cached" in proc.stderr
 
 
 def test_compare_command_separates_pair(capsys):

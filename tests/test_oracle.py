@@ -5,9 +5,10 @@ import pytest
 
 from truncgrp import (AlgebraTable, CapExceededError, GroupDesc, Subspace,
                       alg_mul, alg_pow, commutator_space, conjugacy_classes,
-                      enumerate_group, kuelshammer_space, nullspace,
-                      oracle_profile, perp, ring_make)
+                      element_order, enumerate_group, kuelshammer_space,
+                      nullspace, oracle_profile, perp, ring_make)
 from truncgrp import oracle
+from truncgrp.cli import ORACLE_GROUPS
 
 
 def _cyclic_table(n):
@@ -36,9 +37,11 @@ def test_cyclic_table_basics():
     A = AlgebraTable(2, _cyclic_table(6))
     assert A.dim == 6
     assert A.inv.tolist() == [0, 5, 4, 3, 2, 1]
-    assert A.order_of(1) == 6
-    assert A.order_of(2) == 3
-    assert A.order_of(3) == 2
+    assert A.power(np.arange(6), 2).tolist() == [0, 2, 4, 0, 2, 4]
+    assert A.power([1, 2, 3], 0).tolist() == [0, 0, 0]
+    orders = [next(k for k in range(1, 7) if A.power([g], k)[0] == 0)
+              for g in (1, 2, 3)]
+    assert orders == [6, 3, 2]
     assert commutator_space(A).rank == 0
 
 
@@ -101,6 +104,33 @@ def test_rref_nullspace_properties(rng):
             assert ((mat @ ns.T) % p == 0).all()
             rank = Subspace.from_rows(p, 7, mat).rank
             assert rank + len(ns) == 7
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_from_rows_equals_row_by_row_insert(p):
+    # the reduced echelon form is unique, so one _rref of the stack must
+    # give the rows and pivots that inserting row by row builds
+    gen = np.random.default_rng(p)
+    dim = 6
+    unit_upper = np.triu(gen.integers(0, p, (dim, dim)), 1) + np.eye(dim, dtype=np.int64)
+    cases = [np.zeros((0, dim), dtype=np.int64),        # no rows
+             np.zeros((4, dim), dtype=np.int64),        # rank 0
+             unit_upper[gen.permutation(dim)],          # full rank
+             gen.integers(0, p, (3, dim)),
+             gen.integers(0, p, (9, dim)),
+             gen.integers(0, p, (8, 2)) @ gen.integers(0, p, (2, dim))]
+    for _ in range(20):
+        cases.append(gen.integers(0, p, (int(gen.integers(1, 9)), dim)))
+    ranks = set()
+    for mat in cases:
+        s = Subspace(p, dim)
+        for row in mat:
+            s.insert(row)
+        t = Subspace.from_rows(p, dim, mat)
+        assert t.pivots == s.pivots
+        assert np.array_equal(t.rows, s.rows)
+        ranks.add(t.rank)
+    assert {0, dim} <= ranks
 
 
 def test_subspace_insert_and_membership():
@@ -192,6 +222,25 @@ def test_oracle_agrees_with_class_pipeline():
         assert rep.stab_linalg == rep.stab_classes
         assert rep.commutator_rank_ok and rep.t0_is_commutator
         assert rep.chain_ok and rep.dual_rank_ok and rep.terminal_ok
+
+
+def test_oracle_p_regular_count_matches_scalar_orders():
+    # the oracle counts reps with g^m = 1, m the p'-part of |G|; the
+    # scalar element_order of the same reps must give the same count
+    for fam, n, kind, p, f, r, prof_p in ORACLE_GROUPS.values():
+        grp = GroupDesc(fam, n, ring_make(kind, p, f, r))
+        table = enumerate_group(grp)
+        part = conjugacy_classes(table)
+        A = AlgebraTable.from_element_table(table, prof_p)
+        scalar = sum(1 for rep in part.reps
+                     if element_order(table.mat(int(rep)), grp) % prof_p)
+        m = A.dim
+        while m % prof_p == 0:
+            m //= prof_p
+        assert int((A.power(part.reps, m) == 0).sum()) == scalar
+        rep = oracle_profile(A, part, prof_p)
+        # terminal_ok compares the oracle's own count with the last dim
+        assert rep.terminal_ok and rep.dims_linalg[-1] == scalar
 
 
 def test_oracle_rejects_mismatched_prime():

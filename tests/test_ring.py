@@ -755,7 +755,8 @@ def test_irreducibility_matches_sympy_on_every_small_monic(p):
 
 
 def test_irreducibility_matches_sympy_without_the_root_screen():
-    # p > 1000 skips the linear-factor screen: every degree runs the powers
+    # the power/gcd test decides every degree, 2 and 3 included; there
+    # is no linear-factor screen in front of it at any p
     p, rng = 1009, random.Random(7)
     verdicts = set()
     for f in (2, 3):
