@@ -12,9 +12,9 @@ from .matrix import (GroupDesc, Mat, b_matrix, chu_sum, diagonal,
                      sylow_p_elements, transvection, unitriangular_power)
 from .groups import (ComparisonReport, ElementTable, KuelshammerProfile,
                      Partition, build_power_map, class_power_map,
-                     compare_groups, conjugacy_classes, enumerate_group,
-                     generators, kuelshammer_profile, load_cache,
-                     partition_for, save_cache, proven_regime)
+                     compare_groups, conjugacy_classes, conjugating_set,
+                     enumerate_group, generators, kuelshammer_profile,
+                     load_cache, partition_for, save_cache, proven_regime)
 from .oracle import (AlgebraTable, Subspace, alg_mul, alg_pow,
                      commutator_space, kuelshammer_space, nullspace,
                      oracle_profile, perp)
@@ -29,7 +29,8 @@ __all__ = [
     "exponent_multiple", "chu_sum", "unitriangular_power", "b_matrix",
     "sylow_p_elements", "p_exponent",
     "ElementTable", "Partition", "KuelshammerProfile", "ComparisonReport",
-    "generators", "enumerate_group", "conjugacy_classes", "build_power_map",
+    "generators", "conjugating_set", "enumerate_group", "conjugacy_classes",
+    "build_power_map",
     "class_power_map", "kuelshammer_profile", "compare_groups",
     "proven_regime", "partition_for", "save_cache", "load_cache",
     "AlgebraTable", "Subspace", "alg_mul", "alg_pow", "commutator_space",

@@ -13,11 +13,12 @@ All ids, class labels, and cache bytes are deterministic functions of
 (family, n, kind, p, f, r): generator order is fixed, BFS batches have
 a fixed size, and classes are labeled by their smallest element id.
 
-Both stages multiply only by fixed generators: the BFS maps a frontier
-batch X to X*g, the class stage maps the table to s*X*s^-1, each product
-one ``BatchRing.product_map`` applied with ``BatchRing.apply_map`` to the
+Both stages multiply only by fixed matrices: the BFS maps a frontier
+batch X to X*g for g in ``generators``, the class stage maps the table to
+s*X*s^-1 for s in ``conjugating_set``, each product one
+``BatchRing.product_map`` applied with ``BatchRing.apply_map`` to the
 coordinate-major copy (``BatchRing.block``) of a row range, made once
-for all the generators.  The power maps and the p-regular check raise
+for all the matrices.  The power maps and the p-regular check raise
 the coordinates of varying elements to powers with ``BatchRing.matpow``.
 
 Elements are found by their ``BatchRing.encode`` keys in [0, K), K =
@@ -29,7 +30,21 @@ F_3[t]/t^3 and at most 11 MB under ``CLASS_CAP`` (K = 81^4, SL_2 over a
 ring of 81 elements), so no sorted-key search is kept beside it.
 
 The classes are the orbits of the conjugation permutations X -> s*X*s^-1,
-one per generator s.  ``orbit_labels`` finds them by label propagation
+one per s in a set S that generates the group: the orbits depend only on
+the group S generates, so S need not be the BFS list, whose order fixes
+the ids.  For GL_n, n >= 2, S is the n(n-1) transvections E_ij(1) and
+diag(u, 1, ..., 1) for u in a short list U of units, and
+``conjugating_set`` certifies each time it is called that S generates:
+the closure of U has all q^r - q^(r-1) units of R, so it holds every
+diagonal entry of the list, and every list transvection E_ij(b) is
+rebuilt from S, by unit conjugation, E_1j(b) = d E_1j(1) d^-1 with
+d = diag(b, 1, ..., 1) (for a non-unit b, d = diag(b + 1, 1, ..., 1)
+and a factor E_1j(1)^-1; E_i1 likewise with d^-1 on the left), and by
+the Steinberg relation E_ij(b) = [E_i1(b), E_1j(1)] for i, j != 1.
+GL_1 is abelian: S is empty.  SL_n keeps the whole list: conjugation by
+diag(u, u^-1, ...) scales E_ij(1) only by squares of units, which need
+not reach every E_ij(b) (SL_2 in characteristic 2), so SL lacks a
+proof.  ``orbit_labels`` finds the orbits by label propagation
 with pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982): each
 element starts as its own label, takes the least label among its images,
 and labels are then followed to their own labels until nothing changes.
@@ -40,10 +55,11 @@ and a 4-byte ``sort_perm`` entry per element beside the index, and one
 coordinate-major copy of the frontier range it expands.  Other passes
 walk the table in ``_BFS_CHUNK`` row blocks (``sort_perm``, the
 conjugation permutations, the power maps), each block copied
-coordinate-major once for all generators, so temporaries are sized by
-the block, and a stage holds about (4 * generators + O(1)) bytes per
-element beyond the table: for the classes, one int32 permutation per
-generator and the labeller's four int32 arrays.
+coordinate-major once for all its matrices, so temporaries are sized by
+the block, and the class stage holds about 4 * |S| + 16 bytes per
+element beyond the table: one int32 permutation per s in S and the
+labeller's four int32 arrays (|S| = 3 for GL_2 over Z/27 and 4 over
+F_3[t]/t^3, where the list has 5 and 9).
 """
 
 from __future__ import annotations
@@ -74,13 +90,15 @@ _BFS_CHUNK = 32768  # fixed: batch boundaries feed the id order
 
 
 def generators(group: GroupDesc) -> list[Mat]:
-    """Deterministic generating set.
+    """Deterministic generating set, in the order that fixes the BFS ids.
 
     Transvections I + u E_ij over an additive basis generate SL_n
     (elementary = special linear over a local ring); GL_n additionally
     needs diagonal matrices covering the unit group of the base ring:
     a Teichmueller generator for the residue part and 1 + pi^k x^m for
-    each level of the congruence filtration.
+    each level of the congruence filtration.  The transvections come
+    first, n(n-1)w of them.  The class stage conjugates by this list
+    only for SL_n (``conjugating_set``).
     """
     R = group.ring
     n = group.n
@@ -107,6 +125,85 @@ def generators(group: GroupDesc) -> list[Mat]:
                 u = R.add(R.one, R.mul(R.pow(R.pi, k), basis[m]))
                 gens.append(diagonal(R, (u,) + (R.one,) * (n - 1)))
     return gens
+
+
+def _unit_closure(R, units) -> set:
+    """The subgroup of R^x that units of R generate: R^x is finite, so it
+    is their closure under multiplication, grown breadth first from 1."""
+    closure, frontier = {R.one}, {R.one}
+    while frontier:
+        frontier = {R.mul(x, u) for x in frontier for u in units} - closure
+        closure |= frontier
+    return closure
+
+
+def _unit_generators(R, units) -> list:
+    """A short list U of units whose closure holds the given units (the
+    diagonal entries of ``generators``, in list order).
+
+    The Teichmueller generator, of order dividing q - 1, times the first
+    1 + pi entry, of p-power order, is one cyclic generator covering both;
+    each later entry is kept if the closure so far misses it.
+    """
+    if R.q > 2 and len(units) > 1:
+        units = [R.mul(units[0], units[1])] + units[2:]
+    U = []
+    for u in units:
+        if u not in _unit_closure(R, U):
+            U.append(u)
+    return U
+
+
+def _rebuilt(R, n: int, i: int, j: int, b) -> Mat:
+    """I + b E_ij as a word in the E_kl(1) and diag(u, 1, ..., 1), u a
+    unit (0-based indices: E_0j is the module docstring's E_1j)."""
+    if i and j:  # Steinberg relation [E_i0(b), E_0j(1)] = E_ij(b)
+        x, y = _rebuilt(R, n, i, 0, b), transvection(R, n, 0, j, R.one)
+        return x * y * x.inverse() * y.inverse()
+    e = transvection(R, n, i, j, R.one)
+    u = b if R.is_unit(b) else R.add(b, R.one)  # 1 + b is a unit
+    d = diagonal(R, (u,) + (R.one,) * (n - 1))
+    word = d * e * d.inverse() if i == 0 else d.inverse() * e * d  # E_ij(u)
+    return word if u == b else word * e.inverse()
+
+
+def conjugating_set(group: GroupDesc) -> list[Mat]:
+    """A generating set S of the group for the class stage to conjugate by.
+
+    GL_1 is abelian, so S is empty; SL_n keeps ``generators(group)``.  For
+    GL_n, n >= 2, S is the E_ij(1) and diag(u, 1, ..., 1) for u in
+    ``_unit_generators``, certified on every call (module docstring): the
+    units of S must generate all q^r - q^(r-1) units of R, and every list
+    transvection not in S must equal its ``_rebuilt`` word.  Either
+    failure raises ``ArithmeticError``.
+    """
+    gens = generators(group)
+    if group.family == "SL":
+        return gens
+    R, n = group.ring, group.n
+    S = [transvection(R, n, i, j, R.one)
+         for i in range(n) for j in range(n) if i != j]
+    if not S:
+        return S
+    ntrans = len(S) * R.w  # the list's transvections come first
+    U = _unit_generators(R, [g.entry(0, 0) for g in gens[ntrans:]])
+    reached = len(_unit_closure(R, U))
+    units = R.q ** R.r - R.q ** (R.r - 1)
+    if reached != units or not all(map(R.is_unit, U)):
+        raise ArithmeticError(
+            f"{group.label}: diagonal units {U} generate {reached} of "
+            f"{units} units")
+    kept = set(S)
+    for g in gens[:ntrans]:
+        if g in kept:
+            continue
+        i, j = next((i, j) for i in range(n) for j in range(n)
+                    if i != j and g.entry(i, j) != R.zero)
+        if _rebuilt(R, n, i, j, g.entry(i, j)) != g:
+            raise ArithmeticError(
+                f"{group.label}: generator {g} is not its word in the "
+                f"conjugating set")
+    return S + [diagonal(R, (u,) + (R.one,) * (n - 1)) for u in U]
 
 
 class KeyIndex:
@@ -304,15 +401,14 @@ def orbit_labels(perms, size: int) -> np.ndarray:
         lab = new
 
 
-def _conjugation_perms(table: ElementTable) -> np.ndarray:
-    """One int32 permutation of the ids per generator s, X -> s*X*s^-1,
+def _conjugation_perms(table: ElementTable, conj: list[Mat]) -> np.ndarray:
+    """One int32 permutation of the ids per s in conj, X -> s*X*s^-1,
     filled one row block at a time, each block blocked once for all s."""
     br = table.batch
     n = table.group.n
     N = len(table)
-    gens = generators(table.group)
-    maps = [br.product_map(n, s, s.inverse()) for s in gens]
-    perms = np.empty((len(gens), N), dtype=np.int32)  # ids fit, as in orbit_labels
+    maps = [br.product_map(n, s, s.inverse()) for s in conj]
+    perms = np.empty((len(conj), N), dtype=np.int32)  # ids fit, as in orbit_labels
     for start in range(0, N, _BFS_CHUNK):
         block = br.block(table.coords[start:start + _BFS_CHUNK])
         for lin, perm in zip(maps, perms):
@@ -322,14 +418,18 @@ def _conjugation_perms(table: ElementTable) -> np.ndarray:
 
 
 def conjugacy_classes(table: ElementTable) -> Partition:
-    """Classes = orbits of conjugation by the generators.
+    """Classes = orbits of conjugation by ``conjugating_set``.
 
     ``orbit_labels`` gives each element the smallest id in its class;
     those roots, the ids that label themselves, number the classes in
     ascending order.
     """
+    group = table.group
+    conj = conjugating_set(group)
+    log.debug("%s: conjugating by %d matrices, the generator list has %d",
+              group.label, len(conj), len(generators(group)))
     N = len(table)
-    lab = orbit_labels(_conjugation_perms(table), N)
+    lab = orbit_labels(_conjugation_perms(table, conj), N)
     number = np.cumsum(lab == np.arange(N, dtype=np.int32), dtype=np.int32) - 1
     return Partition(table, number[lab], number[-1] + 1)
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from truncgrp import (CapExceededError, ClosureMismatchError, GroupDesc, Mat,
                       build_power_map, class_power_map,
-                      compare_groups, conjugacy_classes, element_order,
-                      enumerate_group, generators, kuelshammer_profile,
+                      compare_groups, conjugacy_classes, conjugating_set,
+                      element_order, enumerate_group, generators,
+                      kuelshammer_profile,
                       load_cache, partition_for, ring_make,
                       save_cache, proven_regime)
 from truncgrp import groups
@@ -168,7 +169,8 @@ def test_each_row_block_is_blocked_once(monkeypatch):
     # blocks each frontier range once for all its generators, and the
     # class stage each row block once for all its conjugations
     grp, table, part = _pipeline("SL", 3, "poly", 2, 1, 2)
-    perms = groups._conjugation_perms(table)
+    conj = conjugating_set(grp)
+    perms = groups._conjugation_perms(table, conj)
     monkeypatch.setattr(groups, "_BFS_CHUNK", 1000)
     blocked, mapped = [], [0]
     block, apply_map = BatchRing.block, BatchRing.apply_map
@@ -187,7 +189,7 @@ def test_each_row_block_is_blocked_once(monkeypatch):
     assert sum(blocked) == len(small) == len(table) and max(blocked) <= 1000
     assert mapped[0] == len(blocked) * len(generators(grp))
     blocked.clear()
-    assert np.array_equal(groups._conjugation_perms(table), perms)
+    assert np.array_equal(groups._conjugation_perms(table, conj), perms)
     assert blocked == [1000] * 43 + [8]
     small_part = conjugacy_classes(table)
     assert small_part.num_classes == part.num_classes
@@ -205,25 +207,27 @@ def _traced_peak(fn, *args):
 
 
 def test_table_classes_and_power_map_peaks_are_row_blocks():
-    # GL_2 over Z/27: 314,928 elements, ten _BFS_CHUNK row blocks.  Passes
-    # over the whole table at once peaked at 65 (table), 81 (classes) and
-    # 49 (power map) bytes per element, and fail these bounds; row blocks
-    # leave the persistent arrays: 4 bytes of sort_perm per element, and
-    # for the classes one int32 permutation per generator and the orbit
-    # labeller's four int32 arrays
-    grp = _group("GL", 2, "witt", 3, 1, 3)
-    coords = enumerate_group(grp).coords
-    N = len(coords)
-    assert N == 314_928
-    table, table_peak = _traced_peak(ElementTable, grp, coords)
-    assert table_peak < 24 * N
-    part, classes_peak = _traced_peak(conjugacy_classes, table)
-    assert part.num_classes == 720
-    assert classes_peak < (4 * len(generators(grp)) + 28) * N
-    pmap, power_peak = _traced_peak(build_power_map, table, 3)
-    assert power_peak < 24 * N
-    for i in (1, 32767, 32768, N - 1):  # either side of a block boundary
-        assert table.mat(int(pmap[i])) == table.mat(i) ** 3
+    # GL_2 over Z/27 and F_3[t]/t^3: 314,928 elements, ten _BFS_CHUNK row
+    # blocks.  Passes over the whole table at once peaked at 65 (table),
+    # 81 (classes) and 49 (power map) bytes per element over Z/27, and fail
+    # these bounds; row blocks leave the persistent arrays: 4 bytes of
+    # sort_perm per element, and for the classes one int32 permutation per
+    # matrix of the conjugating set (3 and 4, where the generator list has
+    # 5 and 9) and the orbit labeller's four int32 arrays
+    for kind in ("witt", "poly"):
+        grp = _group("GL", 2, kind, 3, 1, 3)
+        coords = enumerate_group(grp).coords
+        N = len(coords)
+        assert N == 314_928
+        table, table_peak = _traced_peak(ElementTable, grp, coords)
+        assert table_peak < 24 * N
+        part, classes_peak = _traced_peak(conjugacy_classes, table)
+        assert part.num_classes == 720
+        assert classes_peak < (4 * len(conjugating_set(grp)) + 28) * N
+        pmap, power_peak = _traced_peak(build_power_map, table, 3)
+        assert power_peak < 24 * N
+        for i in (1, 32767, 32768, N - 1):  # either side of a block boundary
+            assert table.mat(int(pmap[i])) == table.mat(i) ** 3
 
 
 def test_enumeration_peak_is_the_table():
@@ -386,6 +390,94 @@ def test_classes_of_abelian_and_trivial_groups(fam, n, kind, p, r):
     assert np.array_equal(part.reps, np.arange(N))
     assert part.class_of[0] == 0
     assert (np.diff(part.reps) > 0).all()
+
+
+def _gl_grid(max_order):
+    """GL_n, n in {1, 2, 3}, of both kinds over p in {2, 3, 5}, f <= 2,
+    with at most max_order elements."""
+    return [("GL", n, kind, p, f, r)
+            for n in (1, 2, 3) for p in (2, 3, 5) for f in (1, 2)
+            for r in range(1, 5) for kind in ("witt", "poly")
+            if _group("GL", n, kind, p, f, r).order() <= max_order]
+
+
+@pytest.mark.parametrize("fam, n, kind, p, f, r", _gl_grid(50_000))
+def test_conjugating_set_gives_the_generator_classes(fam, n, kind, p, f, r):
+    # the orbits of conjugation by the certified set are those of the
+    # whole BFS generator list: every label is the smallest id of its class
+    grp, table, part = _pipeline(fam, n, kind, p, f, r)
+    full = orbit_labels(groups._conjugation_perms(table, generators(grp)), len(table))
+    assert np.array_equal(part.reps[part.class_of], full)
+    assert len(conjugating_set(grp)) <= len(generators(grp))
+
+
+def test_conjugating_set_sizes():
+    # the list's 5 and 9 generators of the headline pair become 3 and 4;
+    # GL_1 is abelian; SL keeps the whole list
+    expected = {("GL", 2, "witt", 3, 1, 3): ["1,1;0,1", "1,0;1,1", "23,0;0,1"],
+                ("GL", 2, "poly", 3, 1, 3): ["1,1;0,1", "1,0;1,1",
+                                             "2+2t,0;0,1", "1+t^2,0;0,1"],
+                ("GL", 1, "witt", 3, 1, 3): []}
+    for args, want in expected.items():
+        assert [str(s) for s in conjugating_set(_group(*args))] == want
+    for args in [("SL", 2, "poly", 2, 1, 3), ("SL", 2, "witt", 3, 1, 2),
+                 ("SL", 3, "poly", 2, 2, 1), ("SL", 1, "witt", 5, 1, 2)]:
+        grp = _group(*args)
+        assert conjugating_set(grp) == generators(grp)
+    # beyond the class cap the certificate still holds, n = 3 rebuilds
+    # E_ij(b), i, j != 1, by the Steinberg relation
+    for args, size in [(("GL", 2, "poly", 7, 1, 2), 3),
+                       (("GL", 3, "poly", 2, 1, 2), 7),
+                       (("GL", 3, "witt", 2, 2, 2), 8),
+                       (("GL", 4, "poly", 3, 1, 2), 13)]:
+        assert len(conjugating_set(_group(*args))) == size
+
+
+def _no_table_pass(monkeypatch):
+    """Make any row block of a table pass fail the test."""
+    def refuse(self, mats):
+        raise AssertionError("table pass before the certificate")
+    monkeypatch.setattr(BatchRing, "block", refuse)
+
+
+def test_certificate_rejects_units_that_miss_the_unit_group(monkeypatch):
+    # without the merged Teichmueller generator 23, U for GL_2(Z/27) is
+    # empty and its closure is {1}, not the 18 units of Z/27
+    grp = _group("GL", 2, "witt", 3, 1, 3)
+    table = enumerate_group(grp)
+    unit_generators = groups._unit_generators
+    monkeypatch.setattr(groups, "_unit_generators",
+                        lambda R, units: unit_generators(R, units)[1:])
+    _no_table_pass(monkeypatch)
+    with pytest.raises(ArithmeticError, match="generate 1 of 18 units"):
+        conjugacy_classes(table)
+
+
+def test_certificate_rejects_a_wrong_word(monkeypatch):
+    # GL_2(F_3[t]/t^3) drops E_ij(t) and E_ij(t^2) from the list; one
+    # corrupt word for E_21(t^2) is caught
+    grp = _group("GL", 2, "poly", 3, 1, 3)
+    table = enumerate_group(grp)
+    rebuilt = groups._rebuilt
+
+    def corrupt(R, n, i, j, b):
+        word = rebuilt(R, n, i, j, b)
+        if (i, j, b) == (1, 0, (0, 0, 1)):
+            word = word * groups.transvection(R, n, 0, 1, R.one)
+        return word
+    monkeypatch.setattr(groups, "_rebuilt", corrupt)
+    _no_table_pass(monkeypatch)
+    with pytest.raises(ArithmeticError, match="1,0;t\\^2,1 is not its word"):
+        conjugacy_classes(table)
+
+
+def test_class_stage_logs_its_conjugating_set(caplog):
+    grp = _group("GL", 2, "poly", 3, 1, 2)
+    table = enumerate_group(grp)
+    with caplog.at_level(logging.DEBUG, logger="truncgrp.groups"):
+        conjugacy_classes(table)
+    assert ("GL_2(F_3[t]/t^2): conjugating by 3 matrices, the generator "
+            "list has 6") in caplog.messages
 
 
 def test_class_counts_frozen():
